@@ -26,7 +26,6 @@ from .dataset import (
     Task,
     generate_synthetic,
     load_csv,
-    shuffle_column,
     split,
     write_csv,
 )
@@ -59,6 +58,7 @@ from .moea import (
 from .permutation import (
     EvalContext,
     FeatureScores,
+    build_context,
     merit,
     merit_mc,
     pfi_rank,

@@ -28,15 +28,12 @@ from .runner import (
     MethodSpec,
     aggregate,
     load_config,
+    parse_task,
     read_report_csv,
     run_experiment,
     run_selection,
     write_summary,
 )
-
-
-def _parse_task(text: str) -> Task:
-    return Task.CLASSIFICATION if text in ("cls", "classification") else Task.REGRESSION
 
 
 def _parse_synth_spec(text: str, seed: int) -> SyntheticSpec:
@@ -70,7 +67,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_rank(args) -> int:
-    task = _parse_task(args.task)
+    task = parse_task(args.task)
     ds = load_csv(args.data, task, target_col=args.target_col)
     part = split(ds, args.seed, stratified=task is Task.CLASSIFICATION)
     params = {}
@@ -95,7 +92,7 @@ def cmd_rank(args) -> int:
 
 
 def cmd_select(args) -> int:
-    task = _parse_task(args.task)
+    task = parse_task(args.task)
     ds = load_csv(args.data, task, target_col=args.target_col)
     part = split(ds, args.seed, stratified=task is Task.CLASSIFICATION)
     cfg = MoeaConfig(population_size=args.pop, generations=args.gens,
@@ -148,7 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--repeats", type=int, default=5)
     p.add_argument("--bins", type=int, default=10)
-    p.add_argument("--trees", type=int, default=100)
+    p.add_argument("--trees", type=int, default=LearnerSpec.n_trees)
     p.add_argument("--k", type=int, default=None, help="print only the top k")
     p.add_argument("--target-col", type=int, default=None)
     p.add_argument("--out", default=None)
@@ -158,12 +155,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variant", required=True, choices=["v1", "v2"])
     p.add_argument("--data", required=True)
     p.add_argument("--task", required=True, choices=["cls", "reg"])
-    p.add_argument("--pop", type=int, default=50)
-    p.add_argument("--gens", type=int, default=2000)
-    p.add_argument("--crossover", type=float, default=1.0)
-    p.add_argument("--mutation", type=float, default=0.02)
+    p.add_argument("--pop", type=int, default=MoeaConfig.population_size)
+    p.add_argument("--gens", type=int, default=MoeaConfig.generations)
+    p.add_argument("--crossover", type=float,
+                   default=MoeaConfig.crossover_prob)
+    p.add_argument("--mutation", type=float,
+                   default=MoeaConfig.mutation_prob)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trees", type=int, default=100)
+    p.add_argument("--trees", type=int, default=LearnerSpec.n_trees)
     p.add_argument("--target-col", type=int, default=None)
     p.add_argument("--trace-out", default=None)
     p.set_defaults(func=cmd_select)

@@ -1,9 +1,9 @@
-"""Tabular dataset loading, partitioning, and column permutation.
+"""Tabular dataset loading, partitioning, and synthetic generation.
 
 Datasets are immutable after load: the feature matrix and target vector
 are never written to by any operation here. Row subsets are handed out
-as fresh ``RowView`` objects, and column shuffles always copy, so
-concurrent evaluations never contend on shared state.
+as fresh ``RowView`` objects, so concurrent evaluations never contend on
+shared state.
 """
 
 from __future__ import annotations
@@ -312,10 +312,9 @@ def _stratified_allocation(counts: np.ndarray, n_train: int, n_val: int) -> np.n
             break
         step = 1 if delta > 0 else -1
         moved = False
+        # most under-allocated first when adding rows, last when removing
         order = np.argsort([devs(c)[0] for c in range(q)])
-        if step > 0:
-            order = order  # most under-allocated first
-        else:
+        if step < 0:
             order = order[::-1]
         for c in order:
             na = a[c] + step
@@ -358,19 +357,6 @@ def _stratified_allocation(counts: np.ndarray, n_train: int, n_val: int) -> np.n
     out[:, 1] = b - a
     out[:, 2] = counts - b
     return out
-
-
-def shuffle_column(view: RowView, col: int, rng: np.random.Generator) -> RowView:
-    """Copy of the view with one feature column uniformly permuted.
-
-    All other columns and the target are untouched; the source view is
-    never mutated.
-    """
-    if not (0 <= col < view.n_features):
-        raise DatasetError(f"column {col} out of range for width {view.n_features}")
-    X = view.X.copy()
-    X[:, col] = rng.permutation(X[:, col])
-    return RowView(X, view.y, view.task, view.class_count)
 
 
 def generate_synthetic(spec: SyntheticSpec) -> Dataset:

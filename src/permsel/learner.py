@@ -116,8 +116,6 @@ def fit(spec: LearnerSpec, data: RowView) -> RandomForestModel:
         y = data.y.astype(np.int64)
         class_count = data.class_count if data.class_count is not None \
             else int(y.max()) + 1
-        if np.unique(y).size < 1:
-            raise LearnerError("no class present in training target")
     else:
         y = data.y.astype(float)
         class_count = 0

@@ -13,12 +13,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import learner as learner_mod
-from .dataset import Dataset, Partition, Task
+from .dataset import Dataset, Partition
 from .errors import PermselError
 from .learner import LearnerSpec
-from .metrics import Metric
-from .permutation import EvalContext, merit
+from .permutation import EvalContext, build_context, merit
 
 
 @dataclass(frozen=True)
@@ -360,19 +358,9 @@ def evolve(dataset: Dataset, partition: Partition, learner_spec: LearnerSpec,
            cfg: MoeaConfig) -> RunTrace:
     """Train the baseline model for the configured variant and search.
 
-    Variant v1 trains on the train rows and scores merit on the held-out
-    validation rows; v2 trains and scores on the merged train+validation
-    rows. The test rows are never touched.
+    The configuration is validated before any fit; ``build_context``
+    chooses the fit and evaluation rows of the variant.
     """
     cfg.validate()
-    if cfg.variant == "v1":
-        train_rows = dataset.rows(partition.train_idx)
-        eval_rows = dataset.rows(partition.val_idx)
-    else:
-        merged = partition.train_val_idx
-        train_rows = dataset.rows(merged)
-        eval_rows = dataset.rows(merged)
-    model = learner_mod.fit(learner_spec, train_rows)
-    metric = Metric.ACC if dataset.task is Task.CLASSIFICATION else Metric.RMSE
-    ctx = EvalContext(model, eval_rows, metric)
-    return evolve_on_context(ctx, cfg)
+    return evolve_on_context(build_context(dataset, partition, cfg.variant,
+                                           learner_spec), cfg)

@@ -12,8 +12,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import RowView, Task
+from . import learner as learner_mod
+from .dataset import Dataset, Partition, RowView, Task
 from .errors import PermselError
+from .learner import LearnerSpec
 from .metrics import Metric, score
 
 
@@ -52,6 +54,27 @@ class EvalContext:
             span = float(np.ptp(self.eval_rows.y))
             return span if span > 0 else 1.0
         return 1.0
+
+
+def build_context(dataset: Dataset, partition: Partition, variant: str,
+                  learner_spec: LearnerSpec) -> EvalContext:
+    """Fit the baseline model of a variant and bind it to its evaluation rows.
+
+    Variant v1 fits on the train rows and scores on the validation rows;
+    v2 fits and scores on the merged train+validation rows. The metric is
+    ACC for classification and RMSE for regression. The test rows are
+    never touched.
+    """
+    if variant == "v1":
+        fit_rows = dataset.rows(partition.train_idx)
+        eval_rows = dataset.rows(partition.val_idx)
+    elif variant == "v2":
+        fit_rows = eval_rows = dataset.rows(partition.train_val_idx)
+    else:
+        raise PermselError(f"variant must be 'v1' or 'v2', got {variant!r}")
+    model = learner_mod.fit(learner_spec, fit_rows)
+    metric = Metric.ACC if dataset.task is Task.CLASSIFICATION else Metric.RMSE
+    return EvalContext(model, eval_rows, metric)
 
 
 @dataclass(frozen=True)
@@ -106,25 +129,22 @@ def pfi_rank(ctx: EvalContext, repeats: int = 5,
              rng: np.random.Generator | None = None) -> FeatureScores:
     """Single-feature permutation importance over all columns.
 
-    score_i is the mean over ``repeats`` of the absolute performance
-    change with only column i shuffled. Draws come from ``rng`` in
+    score_i is the mean over ``repeats`` draws of the merit of the one-hot
+    chromosome selecting only column i. Draws come from ``rng`` in
     feature-major order (all repeats of feature 0, then feature 1, ...).
+    The mean is a sequential sum: numpy's pairwise summation would change
+    the last bit for nine or more repeats.
     """
     if repeats < 1:
         raise PermselError("repeats must be at least 1")
     if rng is None:
         rng = np.random.default_rng(0)
     w = ctx.n_features
-    X = ctx.eval_rows.X
-    Xp = X.copy()
     scores = np.zeros(w)
     for col in range(w):
-        acc = 0.0
-        for _ in range(repeats):
-            Xp[:, col] = rng.permutation(X[:, col])
-            acc += abs(ctx.baseline_perf - ctx._evaluate(Xp))
-        Xp[:, col] = X[:, col]
-        scores[col] = acc / repeats
+        onehot = np.zeros(w, dtype=np.uint8)
+        onehot[col] = 1
+        scores[col] = sum(merit(ctx, onehot, rng) for _ in range(repeats)) / repeats
     return FeatureScores(scores)
 
 

@@ -16,7 +16,7 @@ import logging
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -42,7 +42,7 @@ from .errors import PermselError
 from .learner import LearnerSpec
 from .metrics import Metric, accuracy, balanced_accuracy, nrmse, r_squared, rmse
 from .moea import MoeaConfig, RunTrace, evolve
-from .permutation import EvalContext, FeatureScores, pfi_rank, select_top_k
+from .permutation import FeatureScores, build_context, pfi_rank, select_top_k
 
 log = logging.getLogger("permsel")
 
@@ -159,31 +159,15 @@ def run_selection(dataset: Dataset, partition: Partition, method: MethodSpec,
     """
     p = method.params
     seeded_learner = replace(learner_spec, seed=seed)
+    variant = method.kind.rpartition("-")[2]  # "v1"/"v2" of subset and PFI kinds
     t0 = time.perf_counter()
     if method.kind in SUBSET_METHODS:
-        cfg = MoeaConfig(
-            population_size=p.get("population_size", 50),
-            generations=p.get("generations", 2000),
-            crossover_prob=p.get("crossover_prob", 1.0),
-            mutation_prob=p.get("mutation_prob", 0.02),
-            init_prob=p.get("init_prob"),
-            seed=seed,
-            variant="v1" if method.kind == "subset-v1" else "v2",
-        )
+        cfg = _from_entries(MoeaConfig, p, seed=seed, variant=variant)
         trace = evolve(dataset, partition, seeded_learner, cfg)
         return SelectionResult(method.kind, time.perf_counter() - t0,
                                features=trace.selected_features(), trace=trace)
     if method.kind in ("pfi-v1", "pfi-v2"):
-        if method.kind == "pfi-v1":
-            train_rows = dataset.rows(partition.train_idx)
-            eval_rows = dataset.rows(partition.val_idx)
-        else:
-            merged = partition.train_val_idx
-            train_rows = dataset.rows(merged)
-            eval_rows = dataset.rows(merged)
-        model = learner_mod.fit(seeded_learner, train_rows)
-        metric = Metric.ACC if dataset.task is Task.CLASSIFICATION else Metric.RMSE
-        ctx = EvalContext(model, eval_rows, metric)
+        ctx = build_context(dataset, partition, variant, seeded_learner)
         scores = pfi_rank(ctx, repeats=p.get("repeats", 5),
                           rng=np.random.default_rng([seed, 3]))
         return SelectionResult(method.kind, time.perf_counter() - t0, scores=scores)
@@ -245,37 +229,32 @@ def _cell_rows(dataset_spec: DatasetSpec, dataset: Dataset, partition: Partition
     name, task = dataset_spec.name, dataset_spec.task.value
     try:
         sel = run_selection(dataset, partition, method, seed, cfg.learner)
-        rows: list[ReportRow] = []
+        picks: list[tuple[str, np.ndarray]] = []
         if sel.features is not None:
             label = "all" if method.kind == ALL_FEATURES else "subset"
-            metrics = evaluate_subset(dataset, partition, sel.features,
-                                      cfg.learner, seed)
-            rows.append(ReportRow(name, task, method.kind, label, seed,
-                                  selected_count=int(sel.features.size),
-                                  runtime_seconds=sel.runtime_seconds,
-                                  **metrics))
-            return rows, sel.trace
-        for k_value in cfg.k_values:
-            if isinstance(k_value, str):
-                source = "subset-v1" if k_value == "N1" else "subset-v2"
-                if source not in subset_counts:
-                    log.info("skipping k=%s for %s on %s seed %d: no %s run",
-                             k_value, method.kind, name, seed, source)
-                    continue
-                k = subset_counts[source]
-                label = k_value
-            else:
-                k = k_value
-                label = str(k_value)
-            k = _clamp_k(k, dataset.n_features, method.kind)
-            features = select_top_k(sel.scores, k)
+            picks.append((label, sel.features))
+        else:
+            for k_value in cfg.k_values:
+                if isinstance(k_value, str):
+                    source = "subset-v1" if k_value == "N1" else "subset-v2"
+                    if source not in subset_counts:
+                        log.info("skipping k=%s for %s on %s seed %d: no %s run",
+                                 k_value, method.kind, name, seed, source)
+                        continue
+                    k = subset_counts[source]
+                else:
+                    k = k_value
+                k = _clamp_k(k, dataset.n_features, method.kind)
+                picks.append((str(k_value), select_top_k(sel.scores, k)))
+        rows = []
+        for label, features in picks:
             metrics = evaluate_subset(dataset, partition, features,
                                       cfg.learner, seed)
             rows.append(ReportRow(name, task, method.kind, label, seed,
                                   selected_count=int(features.size),
                                   runtime_seconds=sel.runtime_seconds,
                                   **metrics))
-        return rows, None
+        return rows, sel.trace
     except Exception as exc:  # keep the sweep alive, record the failure
         log.exception("cell failed: %s / %s / seed %d", name, method.kind, seed)
         return [ReportRow(name, task, method.kind, "-", seed,
@@ -535,7 +514,7 @@ def load_config(path) -> ExperimentConfig:
         raw = json.load(fh)
     datasets = []
     for d in raw["datasets"]:
-        task = _parse_task(d["task"])
+        task = parse_task(d["task"])
         synth = None
         if "synthetic" in d:
             s = d["synthetic"]
@@ -546,28 +525,23 @@ def load_config(path) -> ExperimentConfig:
     methods = [MethodSpec(m["kind"],
                           {k: v for k, v in m.items() if k != "kind"})
                for m in raw["methods"]]
-    learner_raw = raw.get("learner", {})
-    learner = LearnerSpec(
-        n_trees=learner_raw.get("n_trees", 100),
-        max_features=learner_raw.get("max_features"),
-        min_samples_split=learner_raw.get("min_samples_split", 2),
-        max_depth=learner_raw.get("max_depth"),
-        bootstrap=learner_raw.get("bootstrap", True),
-        seed=learner_raw.get("seed", 0),
-    )
-    return ExperimentConfig(
-        datasets=datasets,
-        methods=methods,
-        seeds=raw.get("seeds", list(range(10))),
-        k_values=raw.get("k_values", [10, 100, "N1", "N2"]),
-        learner=learner,
-        output_dir=raw.get("output_dir"),
-        stratified=raw.get("stratified", True),
-        workers=raw.get("workers", 1),
-    )
+    learner = _from_entries(LearnerSpec, raw.get("learner", {}))
+    return _from_entries(ExperimentConfig, raw, datasets=datasets,
+                         methods=methods, learner=learner)
 
 
-def _parse_task(text: str) -> Task:
+def _from_entries(cls, entries: dict, **overrides):
+    """Dataclass built from the entries that name its fields.
+
+    Missing fields take the dataclass defaults, other entries are
+    ignored, and ``overrides`` win over both.
+    """
+    names = {f.name for f in fields(cls)}
+    given = {k: v for k, v in entries.items() if k in names}
+    return cls(**{**given, **overrides})
+
+
+def parse_task(text: str) -> Task:
     t = text.lower()
     if t in ("classification", "cls", "c"):
         return Task.CLASSIFICATION

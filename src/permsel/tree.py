@@ -56,12 +56,6 @@ class Tree:
         return cls(d["feature"], d["threshold"], d["left"], d["right"], d["value"])
 
 
-def _is_pure(y, classification: bool) -> bool:
-    if classification:
-        return bool(np.all(y == y[0]))
-    return bool(np.all(y == y[0]))
-
-
 def _leaf_value(y, classification: bool, class_count: int) -> float:
     if classification:
         counts = np.bincount(y.astype(np.int64), minlength=class_count)
@@ -136,7 +130,7 @@ def grow_tree(X, y, rng, *, classification: bool, class_count: int,
         node_id, rows, depth = stack.pop()
         y_node = y[rows]
         if (rows.size < min_samples_split or depth >= depth_limit
-                or _is_pure(y_node, classification)):
+                or np.all(y_node == y_node[0])):
             value[node_id] = _leaf_value(y_node, classification, class_count)
             continue
         if max_features < w:

@@ -1,9 +1,10 @@
 """Independent reference implementations used to check the real ones.
 
 Everything here is deliberately brute-force: quadratic dominance
-classification, inclusion-exclusion and Monte-Carlo areas, and full 2^n
-sign enumeration for the signed-rank test. None of it shares code with
-the package.
+classification, inclusion-exclusion and Monte-Carlo areas, full 2^n
+sign enumeration for the signed-rank test, and a column-by-column
+permutation-importance loop. None of it shares code with the package
+beyond the evaluation context it is handed.
 """
 
 import itertools
@@ -56,6 +57,29 @@ def hypervolume_monte_carlo(points, reference, n_samples, seed):
     for px, py in pts:
         dominated |= (sx >= px) & (sy >= py)
     return box * dominated.mean()
+
+
+def pfi_rank_reference(ctx, repeats, rng):
+    """Single-feature permutation importance as an explicit loop.
+
+    One working copy of the evaluation rows; column i is overwritten by
+    ``repeats`` permutations of the original column (feature-major draw
+    order), the absolute changes are summed left to right, and the column
+    is restored before moving on. Returns (scores, ranking), the ranking
+    descending with ties to the lower index.
+    """
+    w = ctx.n_features
+    X = ctx.eval_rows.X
+    Xp = X.copy()
+    scores = np.zeros(w)
+    for col in range(w):
+        acc = 0.0
+        for _ in range(repeats):
+            Xp[:, col] = rng.permutation(X[:, col])
+            acc += abs(ctx.baseline_perf - ctx._evaluate(Xp))
+        Xp[:, col] = X[:, col]
+        scores[col] = acc / repeats
+    return scores, np.argsort(-scores, kind="stable")
 
 
 def wilcoxon_enumeration_p(diffs):

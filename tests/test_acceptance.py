@@ -246,6 +246,7 @@ def desk_scale_suite():
     return {"per_seed": per_seed, "elapsed": time.perf_counter() - t0}
 
 
+@pytest.mark.slow
 def test_criterion_08_desk_scale_informative_recovery(desk_scale_suite):
     rows = desk_scale_suite["per_seed"]
     base_rate = 0.10
@@ -261,6 +262,7 @@ def test_criterion_08_desk_scale_informative_recovery(desk_scale_suite):
     assert mean_fraction >= 2 * base_rate, detail
 
 
+@pytest.mark.slow
 def test_criterion_09_directional_baseline_comparison(desk_scale_suite):
     rows = desk_scale_suite["per_seed"]
     median_subset = float(np.median([r["r2_selected"] for r in rows]))

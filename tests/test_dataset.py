@@ -3,12 +3,10 @@ import pytest
 
 from permsel.dataset import (
     Dataset,
-    RowView,
     SyntheticSpec,
     Task,
     generate_synthetic,
     load_csv,
-    shuffle_column,
     split,
     write_csv,
 )
@@ -194,47 +192,6 @@ class TestSplit:
                     got = int(np.sum(ds.y[idx] == c))
                     assert abs(got - frac * n_c) <= 1.0 + 1e-9, \
                         f"class {c}: {got} vs {frac * n_c}"
-
-
-class TestShuffleColumn:
-    def test_single_row_identity(self):
-        view = RowView(np.array([[1.0, 2.0]]), np.array([0.0]), Task.REGRESSION)
-        out = shuffle_column(view, 0, np.random.default_rng(0))
-        assert np.array_equal(out.X, view.X)
-
-    def test_constant_column_identity(self):
-        view = RowView(np.full((5, 2), 3.0), np.zeros(5), Task.REGRESSION)
-        out = shuffle_column(view, 1, np.random.default_rng(1))
-        assert np.array_equal(out.X, view.X)
-
-    def test_seeded_golden_permutation(self):
-        view = RowView(np.array([[1.0], [2.0], [3.0]]), np.zeros(3), Task.REGRESSION)
-        out = shuffle_column(view, 0, np.random.default_rng(123))
-        assert sorted(out.X[:, 0].tolist()) == [1.0, 2.0, 3.0]
-        # pinned result of default_rng(123).permutation([1, 2, 3])
-        golden = np.random.default_rng(123).permutation([1.0, 2.0, 3.0])
-        assert out.X[:, 0].tolist() == golden.tolist()
-
-    def test_source_untouched_and_multiset_preserved(self):
-        rng = np.random.default_rng(5)
-        for _ in range(50):
-            m, w = int(rng.integers(2, 30)), int(rng.integers(1, 8))
-            X = rng.standard_normal((m, w))
-            y = rng.standard_normal(m)
-            view = RowView(X.copy(), y.copy(), Task.REGRESSION)
-            col = int(rng.integers(0, w))
-            out = shuffle_column(view, col, rng)
-            assert np.array_equal(view.X, X)
-            assert np.array_equal(view.y, y)
-            assert np.array_equal(np.sort(out.X[:, col]), np.sort(X[:, col]))
-            other = [c for c in range(w) if c != col]
-            assert np.array_equal(out.X[:, other], X[:, other])
-            assert np.array_equal(out.y, y)
-
-    def test_out_of_range(self):
-        view = RowView(np.zeros((3, 2)), np.zeros(3), Task.REGRESSION)
-        with pytest.raises(DatasetError):
-            shuffle_column(view, 2, np.random.default_rng(0))
 
 
 class TestGenerateSynthetic:

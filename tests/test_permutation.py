@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from permsel.dataset import RowView, Task
+from permsel.dataset import Dataset, RowView, Task, split
 from permsel.errors import PermselError
 from permsel.learner import LearnerSpec, fit
 from permsel.metrics import Metric, accuracy
 from permsel.permutation import (
     EvalContext,
     FeatureScores,
+    build_context,
     merit,
     merit_mc,
     pfi_rank,
@@ -15,6 +16,19 @@ from permsel.permutation import (
 )
 
 from conftest import StubModel
+from oracles import pfi_rank_reference
+
+
+class RecordingModel:
+    """Constant-prediction model that keeps a copy of every matrix it sees."""
+
+    def __init__(self, n_features):
+        self.n_features = n_features
+        self.seen = []
+
+    def predict(self, X):
+        self.seen.append(np.array(X, copy=True))
+        return np.zeros(X.shape[0])
 
 
 @pytest.fixture
@@ -90,6 +104,36 @@ class TestMerit:
         a = merit(ctx, bits, np.random.default_rng(42))
         b = merit(ctx, bits, np.random.default_rng(42))
         assert a == b
+
+    def test_shuffles_exactly_the_selected_columns(self):
+        # the model sees the eval rows with every selected column permuted
+        # (one draw per column, ascending) and every other column as is
+        rng = np.random.default_rng(11)
+        for trial in range(40):
+            m, w = int(rng.integers(1, 25)), int(rng.integers(1, 9))
+            X = rng.standard_normal((m, w))
+            if trial % 4 == 0:
+                X[:, 0] = 3.0  # a constant column permutes to itself
+            y = rng.standard_normal(m)
+            rows = RowView(X.copy(), y.copy(), Task.REGRESSION)
+            model = RecordingModel(w)
+            ctx = EvalContext(model, rows, Metric.RMSE)
+            bits = (rng.random(w) < 0.5).astype(np.uint8)
+            seed = int(rng.integers(0, 2**32))
+            merit(ctx, bits, np.random.default_rng(seed))
+            assert np.array_equal(rows.X, X)
+            assert np.array_equal(rows.y, y)
+            if not bits.any():
+                assert len(model.seen) == 1  # the baseline only
+                continue
+            seen = model.seen[-1]
+            twin = np.random.default_rng(seed)
+            for col in range(w):
+                if bits[col]:
+                    assert np.array_equal(np.sort(seen[:, col]), np.sort(X[:, col]))
+                    assert np.array_equal(seen[:, col], twin.permutation(X[:, col]))
+                else:
+                    assert np.array_equal(seen[:, col], X[:, col])
 
     def test_null_features_exactly_zero_when_model_ignores_them(self):
         # the model only looks at feature 0, so shuffling the rest is a no-op
@@ -193,6 +237,86 @@ class TestPfiRank:
         mc = merit_mc(ctx, bits, 200, np.random.default_rng(3))
         scores = pfi_rank(ctx, repeats=200, rng=np.random.default_rng(4))
         assert mc == pytest.approx(scores.scores[0], abs=0.02)
+
+
+    @pytest.fixture(scope="class")
+    def forest_contexts(self):
+        rng = np.random.default_rng(8)
+        X = rng.standard_normal((120, 7))
+        y_reg = X[:, 0] - 2.0 * X[:, 1] + 0.1 * rng.standard_normal(120)
+        reg = RowView(X, y_reg, Task.REGRESSION)
+        y_cls = (X[:, 0] > 0).astype(np.int64) + 2 * (X[:, 2] > 0.3)
+        cls = RowView(X, y_cls, Task.CLASSIFICATION, class_count=4)
+        contexts = []
+        for rows, metric in ((reg, Metric.RMSE), (cls, Metric.ACC)):
+            model = fit(LearnerSpec(n_trees=6, seed=1), rows)
+            contexts.append(EvalContext(model, rows, metric))
+        return contexts
+
+    @pytest.mark.parametrize("repeats", [1, 5, 9])
+    def test_matches_reference_loop_bit_for_bit(self, forest_contexts, repeats):
+        # nine repeats is where a pairwise (np.mean) sum changes the last bit
+        for i, ctx in enumerate(forest_contexts):
+            scores, ranking = pfi_rank_reference(
+                ctx, repeats, np.random.default_rng([i, repeats]))
+            got = pfi_rank(ctx, repeats=repeats,
+                           rng=np.random.default_rng([i, repeats]))
+            assert got.scores.tolist() == scores.tolist()
+            assert got.ranking.tolist() == ranking.tolist()
+
+
+class TestBuildContext:
+    @pytest.fixture
+    def classification4(self):
+        rng = np.random.default_rng(12)
+        X = rng.standard_normal((90, 4))
+        y = (X[:, 0] > 0).astype(np.int64) + 2 * (X[:, 1] > 0)
+        return Dataset(X, y, Task.CLASSIFICATION, [f"f{i}" for i in range(4)],
+                       class_names=["a", "b", "c", "d"])
+
+    def test_v1_fits_on_train_and_scores_on_validation(self, small_regression,
+                                                       tiny_learner):
+        ds = small_regression
+        part = split(ds, seed=3)
+        ctx = build_context(ds, part, "v1", tiny_learner)
+        val = ds.rows(part.val_idx)
+        assert np.array_equal(ctx.eval_rows.X, val.X)
+        assert np.array_equal(ctx.eval_rows.y, val.y)
+        expected = fit(tiny_learner, ds.rows(part.train_idx))
+        assert ctx.model.to_json() == expected.to_json()
+
+    def test_v2_fits_and_scores_on_merged_rows(self, small_regression, tiny_learner):
+        ds = small_regression
+        part = split(ds, seed=3)
+        ctx = build_context(ds, part, "v2", tiny_learner)
+        merged = ds.rows(part.train_val_idx)
+        assert np.array_equal(ctx.eval_rows.X, merged.X)
+        assert np.array_equal(ctx.eval_rows.y, merged.y)
+        assert ctx.model.to_json() == fit(tiny_learner, merged).to_json()
+
+    def test_metric_follows_task(self, small_regression, classification4,
+                                 tiny_learner):
+        for ds, metric in ((small_regression, Metric.RMSE),
+                           (classification4, Metric.ACC)):
+            for variant in ("v1", "v2"):
+                ctx = build_context(ds, split(ds, seed=0), variant, tiny_learner)
+                assert ctx.metric is metric
+
+    def test_never_reads_test_rows(self, small_regression, classification4,
+                                   tiny_learner):
+        for ds in (small_regression, classification4):
+            part = split(ds, seed=1)
+            for variant in ("v1", "v2"):
+                ds.row_access_log = set()
+                build_context(ds, part, variant, tiny_learner)
+                touched, ds.row_access_log = ds.row_access_log, None
+                assert touched
+                assert not touched & set(part.test_idx.tolist())
+
+    def test_unknown_variant_rejected(self, small_regression, tiny_learner):
+        with pytest.raises(PermselError):
+            build_context(small_regression, split(small_regression, seed=0),
+                          "v3", tiny_learner)
 
 
 class TestSelectTopK:

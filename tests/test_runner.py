@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from permsel.dataset import SyntheticSpec, Task, split, write_csv
 from permsel.errors import PermselError
 from permsel.learner import LearnerSpec
+from permsel.moea import MoeaConfig
 from permsel.runner import (
     DatasetSpec,
     ExperimentConfig,
@@ -289,3 +291,35 @@ class TestLoadConfig:
         assert cfg.seeds == list(range(10))
         assert cfg.k_values == [10, 100, "N1", "N2"]
         assert cfg.learner.n_trees == 100
+        # every omitted key is the dataclass default, stated once there
+        defaults = ExperimentConfig(datasets=cfg.datasets, methods=cfg.methods)
+        assert cfg == defaults
+        assert cfg.learner == LearnerSpec()
+
+    def test_given_values_pass_through(self, tmp_path):
+        learner = {"n_trees": 7, "max_features": 3, "min_samples_split": 4,
+                   "max_depth": 5, "bootstrap": False, "seed": 9}
+        top = {"seeds": [4, 2], "k_values": [3, "N2"], "output_dir": "o",
+               "stratified": False, "workers": 3}
+        raw = {"datasets": [{"name": "d", "task": "cls", "path": "d.csv"}],
+               "methods": [{"kind": "all"}], "learner": learner,
+               "ignored_key": 1, **top}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        cfg = load_config(path)
+        assert dataclasses.asdict(cfg.learner) == learner
+        for key, value in top.items():
+            assert getattr(cfg, key) == value
+
+
+class TestRunSelection:
+    def test_subset_params_default_to_moea_config(self, small_regression):
+        part = split(small_regression, seed=0)
+        for kind, variant in (("subset-v1", "v1"), ("subset-v2", "v2")):
+            # seed and variant always come from the cell, never the params
+            method = MethodSpec(kind, {"generations": 1, "seed": 99,
+                                       "variant": "v9", "repeats": 3})
+            sel = run_selection(small_regression, part, method, seed=2,
+                                learner_spec=LearnerSpec(n_trees=2))
+            assert sel.trace.config == MoeaConfig(generations=1, seed=2,
+                                                  variant=variant)
