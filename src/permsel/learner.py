@@ -14,7 +14,7 @@ import numpy as np
 
 from .dataset import RowView, Task
 from .errors import LearnerError
-from .tree import Tree, grow_tree
+from .tree import CompiledForest, Tree, grow_tree
 
 _FORMAT = "permsel-random-forest"
 _FORMAT_VERSION = 1
@@ -62,6 +62,10 @@ class RandomForestModel:
         self.task = task
         self.n_features = n_features
         self.class_count = class_count
+        self._compiled = CompiledForest(trees)
+        if task is Task.CLASSIFICATION \
+                and not np.isin(self._compiled.value, np.arange(class_count)).all():
+            raise LearnerError(f"leaf values must be class indices below {class_count}")
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Majority vote (ties to the lowest class index) or tree mean."""
@@ -69,13 +73,11 @@ class RandomForestModel:
         if X.ndim != 2 or X.shape[1] != self.n_features:
             raise LearnerError(
                 f"expected rows of width {self.n_features}, got shape {X.shape}")
-        preds = np.stack([t.predict(X) for t in self.trees])
+        preds = self._compiled.leaf_values(X)
         if self.task is Task.CLASSIFICATION:
-            votes = preds.astype(np.int64)
-            counts = np.zeros((X.shape[0], self.class_count), dtype=np.int64)
-            rows = np.arange(X.shape[0])
-            for t in range(votes.shape[0]):
-                counts[rows, votes[t]] += 1
+            n, q = X.shape[0], self.class_count
+            cells = np.arange(n) * q + preds.astype(np.int64)
+            counts = np.bincount(cells.ravel(), minlength=n * q).reshape(n, q)
             return np.argmax(counts, axis=1)
         return preds.mean(axis=0)
 

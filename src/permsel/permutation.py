@@ -119,24 +119,25 @@ def merit(ctx: EvalContext, chromosome, rng: np.random.Generator) -> float:
 
 def merit_mc(ctx: EvalContext, chromosome, repeats: int,
              rng: np.random.Generator) -> float:
-    """Mean of independent merit draws, for callers wanting lower variance."""
+    """Mean of ``repeats`` independent merit draws, for callers wanting
+    lower variance.
+
+    The mean is a sequential sum divided by ``repeats``: numpy's pairwise
+    summation would change the last bit for nine or more repeats.
+    """
     if repeats < 1:
         raise PermselError("repeats must be at least 1")
-    return float(np.mean([merit(ctx, chromosome, rng) for _ in range(repeats)]))
+    return sum(merit(ctx, chromosome, rng) for _ in range(repeats)) / repeats
 
 
 def pfi_rank(ctx: EvalContext, repeats: int = 5,
              rng: np.random.Generator | None = None) -> FeatureScores:
     """Single-feature permutation importance over all columns.
 
-    score_i is the mean over ``repeats`` draws of the merit of the one-hot
-    chromosome selecting only column i. Draws come from ``rng`` in
-    feature-major order (all repeats of feature 0, then feature 1, ...).
-    The mean is a sequential sum: numpy's pairwise summation would change
-    the last bit for nine or more repeats.
+    score_i is ``merit_mc`` of the one-hot chromosome selecting only
+    column i. Draws come from ``rng`` in feature-major order (all repeats
+    of feature 0, then feature 1, ...).
     """
-    if repeats < 1:
-        raise PermselError("repeats must be at least 1")
     if rng is None:
         rng = np.random.default_rng(0)
     w = ctx.n_features
@@ -144,7 +145,7 @@ def pfi_rank(ctx: EvalContext, repeats: int = 5,
     for col in range(w):
         onehot = np.zeros(w, dtype=np.uint8)
         onehot[col] = 1
-        scores[col] = sum(merit(ctx, onehot, rng) for _ in range(repeats)) / repeats
+        scores[col] = merit_mc(ctx, onehot, repeats, rng)
     return FeatureScores(scores)
 
 

@@ -85,6 +85,11 @@ class MethodSpec:
         if self.kind not in SUBSET_METHODS + RANKING_METHODS + (ALL_FEATURES,):
             raise PermselError(f"unknown method kind {self.kind!r}")
 
+    @property
+    def variant(self) -> str:
+        """"v1" or "v2" for the subset and PFI kinds."""
+        return self.kind.rpartition("-")[2]
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -100,8 +105,20 @@ class ExperimentConfig:
     def validate(self):
         if not self.datasets or not self.methods or not self.seeds:
             raise PermselError("need at least one dataset, method, and seed")
+        kinds = set()
         for m in self.methods:
             m.validate()
+            if m.kind in kinds:
+                # rows, trace files and summary entries are keyed by kind
+                raise PermselError(f"method kind {m.kind!r} given more than once")
+            kinds.add(m.kind)
+            if m.kind in SUBSET_METHODS:
+                _from_entries(MoeaConfig, m.params, variant=m.variant).validate()
+        if "infogain" in kinds:
+            for d in self.datasets:
+                if d.task is Task.REGRESSION:
+                    raise PermselError(f"infogain needs classification data; "
+                                       f"dataset {d.name} is regression")
         for k in self.k_values:
             if not (isinstance(k, int) and k >= 1) and k not in ("N1", "N2"):
                 raise PermselError(f"bad k value {k!r}")
@@ -159,15 +176,14 @@ def run_selection(dataset: Dataset, partition: Partition, method: MethodSpec,
     """
     p = method.params
     seeded_learner = replace(learner_spec, seed=seed)
-    variant = method.kind.rpartition("-")[2]  # "v1"/"v2" of subset and PFI kinds
     t0 = time.perf_counter()
     if method.kind in SUBSET_METHODS:
-        cfg = _from_entries(MoeaConfig, p, seed=seed, variant=variant)
+        cfg = _from_entries(MoeaConfig, p, seed=seed, variant=method.variant)
         trace = evolve(dataset, partition, seeded_learner, cfg)
         return SelectionResult(method.kind, time.perf_counter() - t0,
                                features=trace.selected_features(), trace=trace)
     if method.kind in ("pfi-v1", "pfi-v2"):
-        ctx = build_context(dataset, partition, variant, seeded_learner)
+        ctx = build_context(dataset, partition, method.variant, seeded_learner)
         scores = pfi_rank(ctx, repeats=p.get("repeats", 5),
                           rng=np.random.default_rng([seed, 3]))
         return SelectionResult(method.kind, time.perf_counter() - t0, scores=scores)

@@ -5,6 +5,9 @@ Split search uses midpoint thresholds between consecutive distinct sorted
 values; candidate features are drawn per node from the tree's own random
 stream. Ties in impurity are broken by lowest feature index, then lowest
 threshold, so growth is fully deterministic for a given stream.
+
+Prediction runs on a ``CompiledForest``: the nodes of any number of trees
+in one table, traversed by every tree for every row at once.
 """
 
 from __future__ import annotations
@@ -28,19 +31,7 @@ class Tree:
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Leaf value for every row of X."""
-        node = np.zeros(X.shape[0], dtype=np.int32)
-        feature, threshold = self.feature, self.threshold
-        left, right = self.left, self.right
-        while True:
-            f = feature[node]
-            active = f >= 0
-            if not active.any():
-                break
-            rows = np.flatnonzero(active)
-            cur = node[rows]
-            go_left = X[rows, feature[cur]] <= threshold[cur]
-            node[rows] = np.where(go_left, left[cur], right[cur])
-        return self.value[node]
+        return CompiledForest([self]).leaf_values(X)[0]
 
     def to_dict(self) -> dict:
         return {
@@ -54,6 +45,54 @@ class Tree:
     @classmethod
     def from_dict(cls, d: dict) -> "Tree":
         return cls(d["feature"], d["threshold"], d["left"], d["right"], d["value"])
+
+
+class CompiledForest:
+    """The nodes of several trees in one table, for batched traversal.
+
+    Node ids are offset per tree, so tree t starts at ``roots[t]``. A leaf
+    tests feature 0 and both its children are itself, so a row that has
+    reached a leaf stays there: ``depth`` steps (the deepest leaf's depth)
+    bring every row to its leaf in every tree. ``child[2 * i + 1]`` is the
+    left child of node i (taken when ``x <= threshold``) and
+    ``child[2 * i]`` the right one.
+    """
+
+    __slots__ = ("feature", "threshold", "child", "value", "roots", "depth")
+
+    def __init__(self, trees: list[Tree]):
+        sizes = [t.feature.size for t in trees]
+        self.roots = np.cumsum([0] + sizes[:-1]).astype(np.intp)
+        feature = np.concatenate([t.feature for t in trees]).astype(np.intp)
+        left = np.concatenate([t.left + r for t, r in zip(trees, self.roots)])
+        right = np.concatenate([t.right + r for t, r in zip(trees, self.roots)])
+        leaf = feature == _LEAF
+        ids = np.arange(feature.size)
+        left[leaf] = right[leaf] = ids[leaf]
+        feature[leaf] = 0
+        self.feature = feature
+        self.threshold = np.concatenate([t.threshold for t in trees])
+        self.child = np.empty(2 * feature.size, dtype=np.intp)
+        self.child[0::2] = right
+        self.child[1::2] = left
+        self.value = np.concatenate([t.value for t in trees])
+        depth, level = 0, self.roots[~leaf[self.roots]]
+        while level.size:
+            level = np.concatenate([left[level], right[level]])
+            level = level[~leaf[level]]
+            depth += 1
+        self.depth = depth
+
+    def leaf_values(self, X: np.ndarray) -> np.ndarray:
+        """(trees, rows) matrix: the leaf value each tree gives each row."""
+        n, w = X.shape
+        flat = X.ravel()
+        row_base = np.arange(n) * w
+        node = np.broadcast_to(self.roots[:, None], (self.roots.size, n))
+        for _ in range(self.depth):
+            go_left = flat[row_base + self.feature[node]] <= self.threshold[node]
+            node = self.child[2 * node + go_left]
+        return self.value[node]
 
 
 def _leaf_value(y, classification: bool, class_count: int) -> float:

@@ -2,9 +2,10 @@
 
 Everything here is deliberately brute-force: quadratic dominance
 classification, inclusion-exclusion and Monte-Carlo areas, full 2^n
-sign enumeration for the signed-rank test, and a column-by-column
-permutation-importance loop. None of it shares code with the package
-beyond the evaluation context it is handed.
+sign enumeration for the signed-rank test, a column-by-column
+permutation-importance loop, and tree-by-tree forest prediction. None
+of it shares code with the package beyond the evaluation context or
+fitted trees it is handed.
 """
 
 import itertools
@@ -80,6 +81,35 @@ def pfi_rank_reference(ctx, repeats, rng):
         Xp[:, col] = X[:, col]
         scores[col] = acc / repeats
     return scores, np.argsort(-scores, kind="stable")
+
+
+def tree_predict_reference(tree, X):
+    """Leaf value per row of one tree, walking only the rows still at an
+    internal node, one depth level per pass."""
+    node = np.zeros(X.shape[0], dtype=np.int32)
+    while True:
+        active = tree.feature[node] >= 0
+        if not active.any():
+            return tree.value[node]
+        rows = np.flatnonzero(active)
+        cur = node[rows]
+        go_left = X[rows, tree.feature[cur]] <= tree.threshold[cur]
+        node[rows] = np.where(go_left, tree.left[cur], tree.right[cur])
+
+
+def forest_predict_reference(model, X):
+    """Forest prediction tree by tree: the mean of the trees' values, or a
+    vote counted one tree at a time with ties to the lowest class."""
+    X = np.asarray(X, dtype=float)
+    preds = np.stack([tree_predict_reference(t, X) for t in model.trees])
+    if model.class_count is None:
+        return preds.mean(axis=0)
+    votes = preds.astype(np.int64)
+    counts = np.zeros((X.shape[0], model.class_count), dtype=np.int64)
+    rows = np.arange(X.shape[0])
+    for t in range(votes.shape[0]):
+        counts[rows, votes[t]] += 1
+    return np.argmax(counts, axis=1)
 
 
 def wilcoxon_enumeration_p(diffs):

@@ -6,6 +6,8 @@ from permsel.errors import LearnerError
 from permsel.learner import LearnerSpec, RandomForestModel, fit
 from permsel.tree import Tree
 
+from oracles import forest_predict_reference, tree_predict_reference
+
 
 def _leaf_tree(value):
     return Tree([-1], [0.0], [-1], [-1], [value])
@@ -132,6 +134,71 @@ class TestPredict:
         p1 = model.predict(rows.X)
         p2 = model.predict(rows.X)
         assert np.array_equal(p1, p2)
+
+
+def _forest_rows(q, seed=0, n=60, w=5):
+    """Rows with repeated values (so thresholds fall on midpoints of ties)
+    and a target of the given class count, or regression when q is None."""
+    rng = np.random.default_rng(seed)
+    X = np.round(rng.standard_normal((n, w)), 1)
+    if q is None:
+        return _reg_rows(X, X[:, 0] - X[:, 1] + 0.3 * rng.standard_normal(n))
+    score = X[:, 0] + 0.5 * X[:, 2] + 0.3 * rng.standard_normal(n)
+    y = np.digitize(score, np.quantile(score, np.linspace(0, 1, q + 1)[1:-1]))
+    return _cls_rows(X, y, q=q)
+
+
+def _probe_rows(model, X, seed=1):
+    """The training rows, fresh random rows, and rows whose every value is
+    one of the forest's thresholds for that column (exact ties at splits)."""
+    rng = np.random.default_rng(seed)
+    w = X.shape[1]
+    on_threshold = rng.standard_normal((40, w))
+    for f in range(w):
+        thr = np.concatenate([t.threshold[t.feature == f] for t in model.trees])
+        if thr.size:
+            on_threshold[:, f] = rng.choice(thr, size=40)
+    return np.vstack([X, rng.standard_normal((30, w)), on_threshold])
+
+
+class TestCompiledForest:
+    @pytest.mark.parametrize("q", [None, 2, 4])
+    @pytest.mark.parametrize("bootstrap", [True, False])
+    @pytest.mark.parametrize("max_depth", [0, 1, None])
+    def test_matches_per_tree_reference(self, q, bootstrap, max_depth):
+        rows = _forest_rows(q)
+        model = fit(LearnerSpec(n_trees=7, bootstrap=bootstrap,
+                                max_depth=max_depth, seed=3), rows)
+        X = _probe_rows(model, rows.X)
+        assert np.array_equal(model.predict(X), forest_predict_reference(model, X))
+
+    @pytest.mark.parametrize("q", [None, 4])
+    def test_single_leaf_trees(self, q):
+        rows = _forest_rows(q)
+        model = fit(LearnerSpec(n_trees=5, min_samples_split=rows.n_rows + 1,
+                                seed=0), rows)
+        assert all(t.feature.tolist() == [-1] for t in model.trees)
+        X = _probe_rows(model, rows.X)
+        assert np.array_equal(model.predict(X), forest_predict_reference(model, X))
+
+    @pytest.mark.parametrize("q", [None, 2, 4])
+    def test_json_round_trip_matches_reference(self, q):
+        rows = _forest_rows(q, seed=4)
+        clone = RandomForestModel.from_json(
+            fit(LearnerSpec(n_trees=6, seed=2), rows).to_json())
+        X = _probe_rows(clone, rows.X)
+        assert np.array_equal(clone.predict(X), forest_predict_reference(clone, X))
+
+    def test_tree_predict_matches_reference(self):
+        rows = _forest_rows(None)
+        model = fit(LearnerSpec(n_trees=4, seed=1), rows)
+        X = _probe_rows(model, rows.X)
+        for tree in model.trees:
+            assert np.array_equal(tree.predict(X), tree_predict_reference(tree, X))
+
+    def test_leaf_value_outside_classes_rejected(self):
+        with pytest.raises(LearnerError):
+            RandomForestModel([_leaf_tree(2.0)], Task.CLASSIFICATION, 1, 2)
 
 
 class TestSerialization:

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from permsel import runner
 from permsel.dataset import SyntheticSpec, Task, split, write_csv
 from permsel.errors import PermselError
 from permsel.learner import LearnerSpec
@@ -88,13 +89,16 @@ class TestRunExperiment:
         rows = run_experiment(cfg)
         assert all(r.selected_count == 6 for r in rows if r.status == "ok")
 
-    def test_failure_isolation(self, tmp_path):
-        # infogain is classification-only, so it fails on regression data
-        # without taking the rest of the sweep down
-        methods = [MethodSpec("infogain"), MethodSpec("corr")]
+    def test_failure_isolation(self, tmp_path, monkeypatch):
+        # a method that fails mid-run records error rows without taking
+        # the rest of the sweep down
+        def broken_rank(rows):
+            raise RuntimeError("ranker failed")
+        monkeypatch.setattr(runner, "correlation_rank", broken_rank)
+        methods = [MethodSpec("corr"), MethodSpec("all")]
         rows = run_experiment(_mini_config(tmp_path, methods=methods))
-        bad = [r for r in rows if r.method == "infogain"]
-        good = [r for r in rows if r.method == "corr"]
+        bad = [r for r in rows if r.method == "corr"]
+        good = [r for r in rows if r.method == "all"]
         assert bad and all(r.status == "error" and r.error for r in bad)
         assert good and all(r.status == "ok" for r in good)
 
@@ -149,6 +153,47 @@ class TestRunExperiment:
             ExperimentConfig(datasets=[], methods=[MethodSpec("corr")]).validate()
         with pytest.raises(PermselError):
             MethodSpec("bogus").validate()
+
+
+class TestConfigFailsFast:
+    """Bad configurations raise from run_experiment before any dataset is
+    loaded, so no cell spends compute first."""
+
+    @pytest.fixture
+    def loads(self, monkeypatch):
+        calls = []
+        real_load = DatasetSpec.load
+
+        def load(spec):
+            calls.append(spec.name)
+            return real_load(spec)
+        monkeypatch.setattr(DatasetSpec, "load", load)
+        return calls
+
+    def test_repeated_method_kind_rejected(self, tmp_path, loads):
+        methods = [MethodSpec("subset-v1", dict(MOEA_PARAMS)),
+                   MethodSpec("subset-v1", {**MOEA_PARAMS, "init_prob": 0.2})]
+        with pytest.raises(PermselError, match="subset-v1"):
+            run_experiment(_mini_config(tmp_path, methods=methods))
+        assert loads == []
+
+    def test_bad_moea_params_rejected(self, tmp_path, loads):
+        methods = [MethodSpec("corr"),
+                   MethodSpec("subset-v1", {**MOEA_PARAMS, "population_size": 3})]
+        with pytest.raises(PermselError, match="population_size"):
+            run_experiment(_mini_config(tmp_path, methods=methods))
+        assert loads == []
+
+    def test_infogain_on_regression_rejected(self, tmp_path, loads):
+        methods = [MethodSpec("corr"), MethodSpec("infogain")]
+        with pytest.raises(PermselError, match="infogain"):
+            run_experiment(_mini_config(tmp_path, methods=methods))
+        assert loads == []
+
+    def test_valid_config_loads_datasets(self, tmp_path, loads):
+        run_experiment(_mini_config(tmp_path, seeds=(0,),
+                                    methods=[MethodSpec("corr")]))
+        assert loads == ["syn"]
 
 
 class TestSelectionIsolation:
