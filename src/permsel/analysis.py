@@ -191,13 +191,6 @@ class OverfitKind(enum.Enum):
     R2_DIFF = "r2_diff"           # train - test
 
 
-@dataclass(frozen=True)
-class OverfitRow:
-    method: str
-    value: float
-    kind: OverfitKind
-
-
 def overfit_ratio(train: float, test: float, kind: OverfitKind) -> float:
     """Train-vs-test overfitting measure.
 

@@ -22,6 +22,7 @@ from .dataset import (
     split,
     write_csv,
 )
+from .errors import PermselError
 from .learner import LearnerSpec
 from .moea import MoeaConfig, evolve
 from .runner import (
@@ -176,7 +177,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s")
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except PermselError as exc:
+        print(f"permsel: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -305,52 +305,26 @@ def _stratified_allocation(counts: np.ndarray, n_train: int, n_val: int) -> np.n
     def ok(c):
         return all(abs(d) <= 1.0 + 1e-9 for d in devs(c))
 
-    # Fix the train total by moving rows across the train boundary.
-    for _ in range(10 * q + 10):
-        delta = n_train - int(a.sum())
-        if delta == 0:
-            break
-        step = 1 if delta > 0 else -1
-        moved = False
-        # most under-allocated first when adding rows, last when removing
-        order = np.argsort([devs(c)[0] for c in range(q)])
-        if step < 0:
-            order = order[::-1]
-        for c in order:
-            na = a[c] + step
-            if na < 0 or na > b[c]:
-                continue
-            old = a[c]
-            a[c] = na
-            if ok(c):
-                moved = True
-                break
-            a[c] = old
-        if not moved:
-            raise AssertionError("stratified allocation: no feasible train move")
+    def repair(cut, total, lo, hi, part, name):
+        # single-row moves of one cut, in place, until it sums to total;
+        # most under-allocated class first when adding rows, last when removing
+        for _ in range(10 * q + 10):
+            delta = total - int(cut.sum())
+            if delta == 0:
+                return
+            step = 1 if delta > 0 else -1
+            order = np.argsort([devs(c)[part] for c in range(q)])
+            for c in (order if step > 0 else order[::-1]):
+                if lo[c] <= cut[c] + step <= hi[c]:
+                    cut[c] += step
+                    if ok(c):
+                        break
+                    cut[c] -= step
+            else:
+                raise AssertionError(f"stratified allocation: no feasible {name} move")
 
-    # Fix the val total by moving rows across the val/test boundary.
-    for _ in range(10 * q + 10):
-        delta = (n_train + n_val) - int(b.sum())
-        if delta == 0:
-            break
-        step = 1 if delta > 0 else -1
-        moved = False
-        order = np.argsort([devs(c)[1] for c in range(q)])
-        if step < 0:
-            order = order[::-1]
-        for c in order:
-            nb = b[c] + step
-            if nb < a[c] or nb > counts[c]:
-                continue
-            old = b[c]
-            b[c] = nb
-            if ok(c):
-                moved = True
-                break
-            b[c] = old
-        if not moved:
-            raise AssertionError("stratified allocation: no feasible val move")
+    repair(a, n_train, np.zeros(q, dtype=np.int64), b, 0, "train")  # train cut
+    repair(b, n_train + n_val, a, counts, 1, "val")                  # val/test cut
 
     out = np.empty((q, 3), dtype=np.int64)
     out[:, 0] = a

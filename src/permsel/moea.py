@@ -9,7 +9,7 @@ so results are identical under any evaluation schedule.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -87,13 +87,8 @@ class RunTrace:
         return {
             "seed": self.seed,
             "variant": self.variant,
-            "config": {
-                "population_size": self.config.population_size,
-                "generations": self.config.generations,
-                "crossover_prob": self.config.crossover_prob,
-                "mutation_prob": self.config.mutation_prob,
-                "init_prob": self.config.init_prob,
-            },
+            "config": {k: v for k, v in asdict(self.config).items()
+                       if k not in ("seed", "variant")},
             "metric_range": self.metric_range,
             "hypervolume": list(self.hypervolume),
             "front": [[ind.merit, ind.cardinality, chromosome_to_hex(ind.bits)]

@@ -4,8 +4,13 @@ For every (dataset, seed) the data is split 60/20/20; each selection
 method produces a feature set (subset methods) or a ranking evaluated at
 several cutoffs. Models are then retrained on the merged train+validation
 rows restricted to the chosen features and scored on those rows and on
-the held-out test rows, which no selection method ever sees. Cells run
-independently in a thread pool; results are identical for any pool size.
+the held-out test rows, which no selection method ever sees.
+
+One (dataset, seed) cell is one unit of work: it splits the rows, runs
+the subset methods and then the other methods in config order, so the
+rankers can be cut at the N1/N2 cardinalities picked on the same split.
+Cells share no state and run in a thread pool; results are identical for
+any pool size.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ import logging
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -56,7 +61,6 @@ REPORT_COLUMNS = [
     "acc_test", "ba_test", "rmse_test", "nrmse_test", "r2_test",
     "runtime_seconds", "status", "error",
 ]
-RUNTIME_COLUMNS = ("runtime_seconds",)
 
 
 @dataclass(frozen=True)
@@ -81,9 +85,22 @@ class MethodSpec:
     kind: str
     params: dict = field(default_factory=dict)
 
-    def validate(self):
+    def validate(self, where: str = ""):
+        """Check the kind and its params; ``where`` prefixes key paths."""
         if self.kind not in SUBSET_METHODS + RANKING_METHODS + (ALL_FEATURES,):
             raise PermselError(f"unknown method kind {self.kind!r}")
+        if self.kind in SUBSET_METHODS:  # seed and variant come from the cell
+            names = {f.name for f in fields(MoeaConfig)} - {"seed", "variant"}
+        else:
+            names = {"pfi-v1": {"repeats"}, "pfi-v2": {"repeats"},
+                     "infogain": {"bins"}}.get(self.kind, set())
+        _check_keys(self.params, names, (), where)
+        if self.kind in SUBSET_METHODS:
+            _from_entries(MoeaConfig, self.params, variant=self.variant).validate()
+        for name, low in (("repeats", 1), ("bins", 2)):
+            value = self.params.get(name, low)
+            if isinstance(value, bool) or not isinstance(value, int) or value < low:
+                raise PermselError(f"{where}{name} must be an integer >= {low}")
 
     @property
     def variant(self) -> str:
@@ -106,14 +123,12 @@ class ExperimentConfig:
         if not self.datasets or not self.methods or not self.seeds:
             raise PermselError("need at least one dataset, method, and seed")
         kinds = set()
-        for m in self.methods:
-            m.validate()
+        for i, m in enumerate(self.methods):
+            m.validate(f"methods[{i}].")
             if m.kind in kinds:
                 # rows, trace files and summary entries are keyed by kind
                 raise PermselError(f"method kind {m.kind!r} given more than once")
             kinds.add(m.kind)
-            if m.kind in SUBSET_METHODS:
-                _from_entries(MoeaConfig, m.params, variant=m.variant).validate()
         if "infogain" in kinds:
             for d in self.datasets:
                 if d.task is Task.REGRESSION:
@@ -147,16 +162,7 @@ class ReportRow:
     error: str = ""
 
     def to_csv_fields(self) -> list[str]:
-        out = []
-        for col in REPORT_COLUMNS:
-            v = getattr(self, col)
-            if v is None:
-                out.append("")
-            elif isinstance(v, float):
-                out.append(repr(v))
-            else:
-                out.append(str(v))
-        return out
+        return [_fmt(getattr(self, c)) for c in REPORT_COLUMNS]
 
 
 @dataclass
@@ -238,91 +244,81 @@ def _clamp_k(k: int, width: int, method: str) -> int:
     return k
 
 
-def _cell_rows(dataset_spec: DatasetSpec, dataset: Dataset, partition: Partition,
-               method: MethodSpec, seed: int, cfg: ExperimentConfig,
-               subset_counts: dict[str, int]) -> tuple[list[ReportRow], RunTrace | None]:
-    """All report rows for one (dataset, method, seed) cell."""
+def _cell_rows(dataset_spec: DatasetSpec, dataset: Dataset, seed: int,
+               cfg: ExperimentConfig
+               ) -> tuple[list[ReportRow], dict[tuple[str, str, int], RunTrace]]:
+    """All report rows and traces of one (dataset, seed) cell.
+
+    The subset methods run first, so that the rankers can be cut at the
+    N1/N2 cardinalities they picked on the same split. A failing method
+    gives an error row, and the other methods of the cell still run.
+    """
     name, task = dataset_spec.name, dataset_spec.task.value
-    try:
-        sel = run_selection(dataset, partition, method, seed, cfg.learner)
-        picks: list[tuple[str, np.ndarray]] = []
-        if sel.features is not None:
-            label = "all" if method.kind == ALL_FEATURES else "subset"
-            picks.append((label, sel.features))
-        else:
-            for k_value in cfg.k_values:
-                if isinstance(k_value, str):
-                    source = "subset-v1" if k_value == "N1" else "subset-v2"
-                    if source not in subset_counts:
-                        log.info("skipping k=%s for %s on %s seed %d: no %s run",
-                                 k_value, method.kind, name, seed, source)
-                        continue
-                    k = subset_counts[source]
-                else:
-                    k = k_value
-                k = _clamp_k(k, dataset.n_features, method.kind)
-                picks.append((str(k_value), select_top_k(sel.scores, k)))
-        rows = []
-        for label, features in picks:
-            metrics = evaluate_subset(dataset, partition, features,
-                                      cfg.learner, seed)
-            rows.append(ReportRow(name, task, method.kind, label, seed,
-                                  selected_count=int(features.size),
-                                  runtime_seconds=sel.runtime_seconds,
-                                  **metrics))
-        return rows, sel.trace
-    except Exception as exc:  # keep the sweep alive, record the failure
-        log.exception("cell failed: %s / %s / seed %d", name, method.kind, seed)
-        return [ReportRow(name, task, method.kind, "-", seed,
-                          status="error", error=str(exc))], None
+    partition = split(dataset, seed,
+                      cfg.stratified and dataset.task is Task.CLASSIFICATION)
+    counts: dict[str, int] = {}   # subset kind -> selected feature count
+    rows: list[ReportRow] = []
+    traces: dict[tuple[str, str, int], RunTrace] = {}
+    for method in sorted(cfg.methods, key=lambda m: m.kind not in SUBSET_METHODS):
+        try:
+            sel = run_selection(dataset, partition, method, seed, cfg.learner)
+            picks: list[tuple[str, np.ndarray]] = []
+            if sel.features is not None:
+                label = "all" if method.kind == ALL_FEATURES else "subset"
+                picks.append((label, sel.features))
+            else:
+                for k_value in cfg.k_values:
+                    if isinstance(k_value, str):
+                        source = "subset-v1" if k_value == "N1" else "subset-v2"
+                        if source not in counts:
+                            log.info("skipping k=%s for %s on %s seed %d: no %s run",
+                                     k_value, method.kind, name, seed, source)
+                            continue
+                        k = counts[source]
+                    else:
+                        k = k_value
+                    k = _clamp_k(k, dataset.n_features, method.kind)
+                    picks.append((str(k_value), select_top_k(sel.scores, k)))
+            method_rows = []
+            for label, features in picks:
+                metrics = evaluate_subset(dataset, partition, features,
+                                          cfg.learner, seed)
+                method_rows.append(ReportRow(name, task, method.kind, label, seed,
+                                             selected_count=int(features.size),
+                                             runtime_seconds=sel.runtime_seconds,
+                                             **metrics))
+        except Exception as exc:  # keep the cell alive, record the failure
+            log.exception("method failed: %s / %s / seed %d", name, method.kind, seed)
+            rows.append(ReportRow(name, task, method.kind, "-", seed,
+                                  status="error", error=str(exc)))
+            continue
+        rows.extend(method_rows)
+        if method.kind in SUBSET_METHODS:
+            counts[method.kind] = method_rows[0].selected_count
+        if sel.trace is not None:
+            traces[(name, method.kind, seed)] = sel.trace
+    return rows, traces
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[ReportRow]:
     """Run the full protocol; returns all report rows, sorted canonically.
 
-    When ``cfg.output_dir`` is set, reports, traces, and summary tables
-    are written beneath it.
+    Each (dataset, seed) cell is one pool task. When ``cfg.output_dir``
+    is set, reports, traces, and summary tables are written beneath it.
     """
     cfg.validate()
     datasets = [(spec, spec.load()) for spec in cfg.datasets]
-    partitions = {}
-    for spec, ds in datasets:
-        for seed in cfg.seeds:
-            stratified = cfg.stratified and ds.task is Task.CLASSIFICATION
-            partitions[(spec.name, seed)] = split(ds, seed, stratified)
-
-    subset_methods = [m for m in cfg.methods if m.kind in SUBSET_METHODS]
-    other_methods = [m for m in cfg.methods if m.kind not in SUBSET_METHODS]
-
+    jobs = [(spec, ds, seed) for spec, ds in datasets for seed in cfg.seeds]
+    if cfg.workers > 1:
+        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
+            results = list(pool.map(lambda job: _cell_rows(*job, cfg), jobs))
+    else:
+        results = [_cell_rows(*job, cfg) for job in jobs]
     rows: list[ReportRow] = []
     traces: dict[tuple[str, str, int], RunTrace] = {}
-    subset_counts: dict[tuple[str, int], dict[str, int]] = {
-        (spec.name, seed): {} for spec, _ in datasets for seed in cfg.seeds}
-
-    def run_cells(methods):
-        jobs = [(spec, ds, seed, m)
-                for spec, ds in datasets for seed in cfg.seeds for m in methods]
-        def work(job):
-            spec, ds, seed, m = job
-            part = partitions[(spec.name, seed)]
-            return job, _cell_rows(spec, ds, part, m, seed, cfg,
-                                   subset_counts[(spec.name, seed)])
-        if cfg.workers > 1:
-            with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-                results = list(pool.map(work, jobs))
-        else:
-            results = [work(job) for job in jobs]
-        for (spec, _, seed, m), (cell_rows, trace) in results:
-            rows.extend(cell_rows)
-            if trace is not None:
-                traces[(spec.name, m.kind, seed)] = trace
-            for r in cell_rows:
-                if r.status == "ok" and m.kind in SUBSET_METHODS:
-                    subset_counts[(spec.name, seed)][m.kind] = r.selected_count
-
-    run_cells(subset_methods)
-    run_cells(other_methods)
-
+    for cell_rows, cell_traces in results:
+        rows.extend(cell_rows)
+        traces.update(cell_traces)
     rows.sort(key=lambda r: (r.dataset, r.method, r.k_label, r.seed))
     if cfg.output_dir is not None:
         write_outputs(cfg.output_dir, rows, traces)
@@ -390,15 +386,17 @@ def aggregate(rows: list[ReportRow]) -> dict:
     """Summary tables: per-entry means, win/loss rankings with pairwise
     tests on test-set metrics, overfitting measures, and mean runtimes."""
     ok = [r for r in rows if r.status == "ok"]
+    groups: dict[tuple[str, str, str], list[ReportRow]] = {}
+    for r in ok:
+        groups.setdefault((r.task, r.method, r.k_label), []).append(r)
+    groups = dict(sorted(groups.items()))
     tables: dict = {"means": [], "rankings": {}, "pairwise": {},
                     "overfitting": [], "runtimes": []}
 
-    entries = sorted({(r.task, r.method, r.k_label) for r in ok})
     numeric = [c for c in REPORT_COLUMNS
                if c not in ("dataset", "task", "method", "k_label", "seed",
                             "status", "error")]
-    for task, method, k_label in entries:
-        sub = [r for r in ok if (r.task, r.method, r.k_label) == (task, method, k_label)]
+    for (task, method, k_label), sub in groups.items():
         rec = {"task": task, "method": method, "k_label": k_label,
                "entry": _entry_label(method, k_label), "n_rows": len(sub)}
         counts = [r.selected_count for r in sub if r.selected_count is not None]
@@ -407,20 +405,25 @@ def aggregate(rows: list[ReportRow]) -> dict:
             vals = [getattr(r, col) for r in sub if getattr(r, col) is not None]
             rec[f"mean_{col}"] = float(np.mean(vals)) if vals else None
         tables["means"].append(rec)
+        if task not in _OVERFIT_SPECS:
+            continue
+        over = {"task": task, "entry": rec["entry"],
+                "mean_selected": rec["mean_selected_count"]}
+        for stem, kind in _OVERFIT_SPECS[task]:
+            train, test = rec[f"mean_{stem}_train"], rec[f"mean_{stem}_test"]
+            if train is not None and test is not None:
+                over[kind.value] = overfit_ratio(train, test, kind)
+        tables["overfitting"].append(over)
 
     for task, metric_specs in _TEST_METRICS.items():
-        task_rows = [r for r in ok if r.task == task]
-        if not task_rows:
-            continue
-        task_entries = sorted({(r.method, r.k_label) for r in task_rows})
+        task_groups = [(_entry_label(method, k_label), sub)
+                       for (t, method, k_label), sub in groups.items() if t == task]
         for col, metric in metric_specs:
             per_entry: dict[str, dict[str, list[float]]] = {}
-            for method, k_label in task_entries:
-                label = _entry_label(method, k_label)
+            for label, sub in task_groups:
                 by_ds: dict[str, list[float]] = {}
-                for r in task_rows:
-                    if (r.method, r.k_label) == (method, k_label) \
-                            and getattr(r, col) is not None:
+                for r in sub:
+                    if getattr(r, col) is not None:
                         by_ds.setdefault(r.dataset, []).append(getattr(r, col))
                 per_entry[label] = by_ds
             labels = sorted(per_entry)
@@ -437,34 +440,17 @@ def aggregate(rows: list[ReportRow]) -> dict:
                 tables["rankings"][col] = win_loss_ranking(samples)
                 tables["pairwise"][col] = [compare_pair(s) for s in samples]
 
-    for task, specs in _OVERFIT_SPECS.items():
-        task_rows = [r for r in ok if r.task == task]
-        for method, k_label in sorted({(r.method, r.k_label) for r in task_rows}):
-            sub = [r for r in task_rows if (r.method, r.k_label) == (method, k_label)]
-            rec = {"task": task, "entry": _entry_label(method, k_label),
-                   "mean_selected": float(np.mean([r.selected_count for r in sub]))}
-            for stem, kind in specs:
-                tr = [getattr(r, f"{stem}_train") for r in sub
-                      if getattr(r, f"{stem}_train") is not None]
-                te = [getattr(r, f"{stem}_test") for r in sub
-                      if getattr(r, f"{stem}_test") is not None]
-                if tr and te:
-                    rec[kind.value] = overfit_ratio(float(np.mean(tr)),
-                                                    float(np.mean(te)), kind)
-            tables["overfitting"].append(rec)
-
-    for task in ("classification", "regression"):
-        task_rows = [r for r in ok if r.task == task]
-        for method in sorted({r.method for r in task_rows}):
-            seen = {}
-            for r in task_rows:
-                if r.method == method and r.runtime_seconds is not None:
-                    seen.setdefault((r.dataset, r.seed), r.runtime_seconds)
-            if seen:
-                tables["runtimes"].append({
-                    "task": task, "method": method,
-                    "mean_runtime_seconds": float(np.mean(list(seen.values()))),
-                })
+    # one runtime per (dataset, seed) cell, averaged in first-seen order
+    runtimes: dict[tuple[str, str], dict[tuple[str, int], float]] = {}
+    for r in ok:
+        if r.runtime_seconds is not None:
+            runtimes.setdefault((r.task, r.method), {}).setdefault(
+                (r.dataset, r.seed), r.runtime_seconds)
+    for (task, method), seen in sorted(runtimes.items()):
+        tables["runtimes"].append({
+            "task": task, "method": method,
+            "mean_runtime_seconds": float(np.mean(list(seen.values()))),
+        })
     return tables
 
 
@@ -525,25 +511,54 @@ def _fmt(v) -> str:
 
 
 def load_config(path) -> ExperimentConfig:
-    """Read an experiment configuration from JSON (schema in the README)."""
+    """Read an experiment configuration from JSON (schema in the README).
+
+    A key that names no field, at any level, raises with its key path;
+    the returned config has passed ``validate``.
+    """
     with open(path, encoding="utf-8") as fh:
         raw = json.load(fh)
+    _check_fields(ExperimentConfig, raw, "")
     datasets = []
-    for d in raw["datasets"]:
-        task = parse_task(d["task"])
-        synth = None
-        if "synthetic" in d:
-            s = d["synthetic"]
-            synth = SyntheticSpec(s["n_instances"], s["n_features"],
-                                  s["n_informative"], s["noise"],
-                                  s.get("seed", 0))
-        datasets.append(DatasetSpec(d["name"], task, d.get("path"), synth))
-    methods = [MethodSpec(m["kind"],
-                          {k: v for k, v in m.items() if k != "kind"})
-               for m in raw["methods"]]
-    learner = _from_entries(LearnerSpec, raw.get("learner", {}))
-    return _from_entries(ExperimentConfig, raw, datasets=datasets,
-                         methods=methods, learner=learner)
+    for i, d in enumerate(raw["datasets"]):
+        _check_fields(DatasetSpec, d, f"datasets[{i}].")
+        synth = d.get("synthetic")
+        if synth is not None:
+            _check_fields(SyntheticSpec, synth, f"datasets[{i}].synthetic.")
+            synth = _from_entries(SyntheticSpec, synth)
+        datasets.append(_from_entries(DatasetSpec, d, task=parse_task(d["task"]),
+                                      synthetic=synth))
+    methods = []
+    for i, m in enumerate(raw["methods"]):
+        if "kind" not in m:
+            raise PermselError(f"missing config key 'methods[{i}].kind'")
+        methods.append(MethodSpec(m["kind"],
+                                  {k: v for k, v in m.items() if k != "kind"}))
+    learner = raw.get("learner", {})
+    _check_fields(LearnerSpec, learner, "learner.")
+    cfg = _from_entries(ExperimentConfig, raw, datasets=datasets, methods=methods,
+                        learner=_from_entries(LearnerSpec, learner))
+    cfg.validate()
+    return cfg
+
+
+def _check_keys(entries: dict, names, required, where: str):
+    """Raise, naming the key path, for an entry not in ``names`` or a
+    ``required`` key that is missing."""
+    for key in entries:
+        if key not in names:
+            raise PermselError(f"unknown config key {where + key!r}")
+    for key in required:
+        if key not in entries:
+            raise PermselError(f"missing config key {where + key!r}")
+
+
+def _check_fields(cls, entries: dict, where: str):
+    """``_check_keys`` against the fields of a dataclass; those without a
+    default are required."""
+    _check_keys(entries, {f.name for f in fields(cls)},
+                [f.name for f in fields(cls)
+                 if f.default is MISSING and f.default_factory is MISSING], where)
 
 
 def _from_entries(cls, entries: dict, **overrides):

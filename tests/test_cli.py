@@ -84,3 +84,22 @@ class TestRunAndReport:
         rc = main(["report", "--in", str(out_dir)])
         assert rc == 0
         assert (out_dir / "summary" / "means.csv").exists()
+
+
+class TestErrors:
+    def test_config_error_is_one_line(self, tmp_path, capsys):
+        data = _synth_csv(tmp_path)
+        cfg = {
+            "datasets": [{"name": "syn", "task": "reg", "path": str(data)}],
+            "methods": [{"kind": "subset-v1", "population_size": 3}],
+        }
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        capsys.readouterr()
+        rc = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            "permsel: error: population_size must be even and >= 4"]
+        assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()

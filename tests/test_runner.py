@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -62,16 +63,42 @@ class TestRunExperiment:
             assert r.runtime_seconds == 0.0
             assert r.rmse_test is not None
 
-    def test_n1_rows_match_subset_cardinality(self, mini_rows):
+    @pytest.mark.parametrize("subset_last", [False, True],
+                             ids=["subset_first", "subset_last"])
+    def test_n1_rows_match_subset_cardinality(self, tmp_path, subset_last):
+        # the subset method runs first in its cell wherever it is listed
+        methods = [MethodSpec("subset-v1", dict(MOEA_PARAMS)),
+                   MethodSpec("pfi-v1", {"repeats": 2}), MethodSpec("corr")]
+        if subset_last:
+            methods = methods[1:] + methods[:1]
+        rows = run_experiment(_mini_config(tmp_path, methods=methods))
         for seed in (0, 1):
-            subset_row = [r for r in mini_rows
-                     if r.method == "subset-v1" and r.seed == seed][0]
+            subset_row = [r for r in rows
+                          if r.method == "subset-v1" and r.seed == seed][0]
+            assert subset_row.selected_count >= 1
             for method in ("pfi-v1", "corr"):
-                n1 = [r for r in mini_rows
+                n1 = [r for r in rows
                       if r.method == method and r.seed == seed and r.k_label == "N1"]
-                if subset_row.selected_count >= 1:
-                    assert len(n1) == 1
-                    assert n1[0].selected_count == min(subset_row.selected_count, 6)
+                assert len(n1) == 1
+                assert n1[0].selected_count == min(subset_row.selected_count, 6)
+
+    def test_failed_subset_method_skips_its_n1_rows(self, tmp_path, monkeypatch):
+        def broken_evolve(*args):
+            raise RuntimeError("search failed")
+        monkeypatch.setattr(runner, "evolve", broken_evolve)
+        methods = [MethodSpec("corr"), MethodSpec("subset-v1", dict(MOEA_PARAMS))]
+        rows = run_experiment(_mini_config(tmp_path, methods=methods))
+        assert [r.status for r in rows if r.method == "subset-v1"] == ["error"] * 2
+        corr = [r for r in rows if r.method == "corr"]
+        assert [(r.k_label, r.status) for r in corr] == [("2", "ok")] * 2
+
+    def test_split_error_aborts_run(self, tmp_path, monkeypatch):
+        def broken_split(*args):
+            raise PermselError("cannot split")
+        monkeypatch.setattr(runner, "split", broken_split)
+        with pytest.raises(PermselError, match="cannot split"):
+            run_experiment(_mini_config(tmp_path, methods=[MethodSpec("corr")],
+                                        workers=2))
 
     def test_n1_skipped_without_subset_method(self, tmp_path):
         cfg = _mini_config(tmp_path, methods=[MethodSpec("corr")])
@@ -128,6 +155,16 @@ class TestRunExperiment:
             return [",".join(c for i, c in enumerate(ln.split(",")) if i != rt)
                     for ln in lines]
         assert strip(lines1) == strip(lines4)
+
+        def traces(out):
+            docs = {}
+            for path in sorted((out / "traces").glob("*.json")):
+                doc = json.loads(path.read_text())
+                del doc["wall_time_seconds"]
+                docs[path.name] = doc
+            return docs
+        assert len(traces(out1)) == 2
+        assert traces(out1) == traces(out4)
 
     def test_classification_dataset_flow(self, tmp_path, small_classification):
         path = tmp_path / "cls.csv"
@@ -189,6 +226,55 @@ class TestConfigFailsFast:
         with pytest.raises(PermselError, match="infogain"):
             run_experiment(_mini_config(tmp_path, methods=methods))
         assert loads == []
+
+    @pytest.mark.parametrize("kind, params, message", [
+        ("pfi-v1", {"repeats": 0}, "methods[0].repeats"),
+        ("pfi-v2", {"repeat": 3}, "methods[0].repeat"),
+        ("infogain", {"bins": 1}, "methods[0].bins"),
+        ("infogain", {"bins": 2.5}, "methods[0].bins"),
+        ("corr", {"bins": 10}, "methods[0].bins"),
+        ("all", {"repeats": 1}, "methods[0].repeats"),
+        ("subset-v1", {"seed": 3}, "methods[0].seed"),
+        ("subset-v2", {"repeats": 3}, "methods[0].repeats"),
+    ])
+    def test_method_params_checked_per_kind(self, tmp_path, loads,
+                                            kind, params, message):
+        with pytest.raises(PermselError, match=re.escape(message)):
+            run_experiment(_mini_config(tmp_path,
+                                        methods=[MethodSpec(kind, params)]))
+        assert loads == []
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda raw: raw["learner"].update(n_tree=3), "unknown config key 'learner.n_tree'"),
+        (lambda raw: raw["datasets"][0]["synthetic"].update(seeed=1),
+         "unknown config key 'datasets[0].synthetic.seeed'"),
+        (lambda raw: raw["datasets"][0].update(kind="x"),
+         "unknown config key 'datasets[0].kind'"),
+        (lambda raw: raw.update(worker=2), "unknown config key 'worker'"),
+        (lambda raw: raw["methods"][1].update(repeats=0), "methods[1].repeats"),
+        (lambda raw: raw["methods"][0].update(generation=10),
+         "unknown config key 'methods[0].generation'"),
+        (lambda raw: raw["datasets"][0].pop("task"),
+         "missing config key 'datasets[0].task'"),
+        (lambda raw: raw["methods"][0].pop("kind"),
+         "missing config key 'methods[0].kind'"),
+    ])
+    def test_load_config_names_bad_key(self, tmp_path, edit, message):
+        raw = {
+            "datasets": [{"name": "syn", "task": "regression",
+                          "synthetic": {"n_instances": 50, "n_features": 5,
+                                        "n_informative": 2, "noise": 0.1}}],
+            "methods": [{"kind": "subset-v1", "generations": 5},
+                        {"kind": "pfi-v1", "repeats": 5}],
+            "learner": {"n_trees": 3},
+        }
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        assert load_config(path).learner.n_trees == 3
+        edit(raw)
+        path.write_text(json.dumps(raw))
+        with pytest.raises(PermselError, match=re.escape(message)):
+            load_config(path)
 
     def test_valid_config_loads_datasets(self, tmp_path, loads):
         run_experiment(_mini_config(tmp_path, seeds=(0,),
@@ -347,8 +433,7 @@ class TestLoadConfig:
         top = {"seeds": [4, 2], "k_values": [3, "N2"], "output_dir": "o",
                "stratified": False, "workers": 3}
         raw = {"datasets": [{"name": "d", "task": "cls", "path": "d.csv"}],
-               "methods": [{"kind": "all"}], "learner": learner,
-               "ignored_key": 1, **top}
+               "methods": [{"kind": "all"}], "learner": learner, **top}
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(raw))
         cfg = load_config(path)
