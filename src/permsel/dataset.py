@@ -20,6 +20,8 @@ from .errors import (
     MissingValueError,
     NonNumericValueError,
     SingleClassError,
+    is_int,
+    is_number,
 )
 
 
@@ -139,13 +141,20 @@ class SyntheticSpec:
     noise: float
     seed: int = 0
 
-    def validate(self):
-        if self.n_instances < 1 or self.n_features < 1:
-            raise DatasetError("need at least one instance and one feature")
-        if not (1 <= self.n_informative <= self.n_features):
-            raise DatasetError("n_informative must be in [1, n_features]")
-        if self.noise < 0:
-            raise DatasetError("noise must be nonnegative")
+    def validate(self, where: str = ""):
+        """Raise for a value of the wrong type or range; ``where`` prefixes
+        the key names in the message."""
+        for name, low in (("n_instances", 1), ("n_features", 1),
+                          ("n_informative", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if not is_int(value) or value < low:
+                raise DatasetError(
+                    f"{where}{name} must be an integer >= {low}, got {value!r}")
+        if self.n_informative > self.n_features:
+            raise DatasetError(f"{where}n_informative must be in [1, n_features]")
+        if not is_number(self.noise) or self.noise < 0:
+            raise DatasetError(
+                f"{where}noise must be a nonnegative number, got {self.noise!r}")
 
 
 def load_csv(path, task: Task, target_col: int | None = None) -> Dataset:

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the type tests that the
+configuration checks use."""
+
+from numbers import Integral, Real
 
 
 class PermselError(ValueError):
@@ -50,3 +53,13 @@ class LearnerError(PermselError):
 
 class AnalysisError(PermselError):
     """Invalid input to a statistical analysis routine."""
+
+
+def is_int(value) -> bool:
+    """An integer, and not a bool (JSON true/false load as bools)."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
+def is_number(value) -> bool:
+    """An integer or a float, and not a bool."""
+    return isinstance(value, Real) and not isinstance(value, bool)

@@ -13,8 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import RowView, Task
-from .errors import LearnerError
-from .tree import CompiledForest, Tree, grow_tree
+from .errors import LearnerError, is_int
+from .tree import CompiledForest, Tree, grow_forest
+from .tree import grow_tree  # noqa: F401 (perfbench wraps learner.grow_tree)
 
 _FORMAT = "permsel-random-forest"
 _FORMAT_VERSION = 1
@@ -35,6 +36,26 @@ class LearnerSpec:
     max_depth: int | None = None
     bootstrap: bool = True
     seed: int = 0
+
+    def validate(self, where: str = ""):
+        """Raise for a value of the wrong type or range; ``where`` prefixes
+        the key names in the message ("learner." in a config)."""
+        for name, low in (("n_trees", 1), ("min_samples_split", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if not is_int(value) or value < low:
+                raise LearnerError(
+                    f"{where}{name} must be an integer >= {low}, got {value!r}")
+        depth = self.max_depth
+        if depth is not None and not (is_int(depth) and depth >= 0):
+            raise LearnerError(
+                f"{where}max_depth must be null or an integer >= 0, got {depth!r}")
+        mf = self.max_features
+        if not (mf is None or mf in ("sqrt", "third", "all") or is_int(mf) and mf >= 1):
+            raise LearnerError(f"{where}max_features must be null, 'sqrt', 'third', "
+                               f"'all' or an integer >= 1, got {mf!r}")
+        if not isinstance(self.bootstrap, bool):
+            raise LearnerError(
+                f"{where}bootstrap must be true or false, got {self.bootstrap!r}")
 
     def resolve_max_features(self, n_features: int, task: Task) -> int:
         mf = self.max_features
@@ -109,8 +130,7 @@ def fit(spec: LearnerSpec, data: RowView) -> RandomForestModel:
     With bootstrap on, each tree sees a resample of the rows drawn from
     its own stream; with it off, every tree trains on the full data.
     """
-    if spec.n_trees < 1:
-        raise LearnerError("n_trees must be at least 1")
+    spec.validate()
     if data.n_rows == 0:
         raise LearnerError("empty training set")
     classification = data.task is Task.CLASSIFICATION
@@ -124,21 +144,16 @@ def fit(spec: LearnerSpec, data: RowView) -> RandomForestModel:
     X = data.X
     n, w = X.shape
     max_features = spec.resolve_max_features(w, data.task)
-    trees = []
-    for t in range(spec.n_trees):
-        rng = np.random.default_rng([spec.seed, t])
-        if spec.bootstrap:
-            sample = rng.integers(0, n, size=n)
-            Xt, yt = X[sample], y[sample]
-        else:
-            Xt, yt = X, y
-        trees.append(grow_tree(
-            Xt, yt, rng,
-            classification=classification,
-            class_count=class_count,
-            max_features=max_features,
-            min_samples_split=spec.min_samples_split,
-            max_depth=spec.max_depth,
-        ))
+    rngs = [np.random.default_rng([spec.seed, t]) for t in range(spec.n_trees)]
+    samples = [rng.integers(0, n, size=n) if spec.bootstrap else np.arange(n)
+               for rng in rngs]
+    trees = grow_forest(
+        X, y, samples, rngs,
+        classification=classification,
+        class_count=class_count,
+        max_features=max_features,
+        min_samples_split=spec.min_samples_split,
+        max_depth=spec.max_depth,
+    )
     return RandomForestModel(trees, data.task, w,
                              class_count if classification else None)

@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .dataset import Dataset, Partition
-from .errors import PermselError
+from .errors import PermselError, is_int, is_number
 from .learner import LearnerSpec
 from .permutation import EvalContext, build_context, merit
 
@@ -30,18 +30,20 @@ class MoeaConfig:
     init_prob: float | None = None  # None: min(0.5, 100 / n_features)
 
     def validate(self):
-        if self.population_size < 4 or self.population_size % 2 != 0:
+        size = self.population_size
+        if not is_int(size) or size < 4 or size % 2 != 0:
             raise PermselError("population_size must be even and >= 4")
-        if not (0.0 <= self.crossover_prob <= 1.0):
-            raise PermselError("crossover_prob must be in [0, 1]")
-        if not (0.0 <= self.mutation_prob <= 1.0):
-            raise PermselError("mutation_prob must be in [0, 1]")
-        if self.generations < 0:
-            raise PermselError("generations must be nonnegative")
+        for name in ("crossover_prob", "mutation_prob"):
+            prob = getattr(self, name)
+            if not (is_number(prob) and 0.0 <= prob <= 1.0):
+                raise PermselError(f"{name} must be in [0, 1]")
+        if not is_int(self.generations) or self.generations < 0:
+            raise PermselError("generations must be a nonnegative integer")
         if self.variant not in ("v1", "v2"):
             raise PermselError("variant must be 'v1' or 'v2'")
-        if self.init_prob is not None and not (0.0 <= self.init_prob <= 1.0):
-            raise PermselError("init_prob must be in [0, 1]")
+        p = self.init_prob
+        if p is not None and not (is_number(p) and 0.0 <= p <= 1.0):
+            raise PermselError("init_prob must be null or in [0, 1]")
 
 
 class Individual:

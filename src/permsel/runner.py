@@ -43,7 +43,7 @@ from .dataset import (
     load_csv,
     split,
 )
-from .errors import PermselError
+from .errors import PermselError, is_int
 from .learner import LearnerSpec
 from .metrics import Metric, accuracy, balanced_accuracy, nrmse, r_squared, rmse
 from .moea import MoeaConfig, RunTrace, evolve
@@ -99,7 +99,7 @@ class MethodSpec:
             _from_entries(MoeaConfig, self.params, variant=self.variant).validate()
         for name, low in (("repeats", 1), ("bins", 2)):
             value = self.params.get(name, low)
-            if isinstance(value, bool) or not isinstance(value, int) or value < low:
+            if not is_int(value) or value < low:
                 raise PermselError(f"{where}{name} must be an integer >= {low}")
 
     @property
@@ -120,8 +120,32 @@ class ExperimentConfig:
     workers: int = 1
 
     def validate(self):
+        """Check every value before any dataset loads; a bad one raises,
+        naming its key."""
+        if not is_int(self.workers) or self.workers < 1:
+            raise PermselError(f"workers must be an integer >= 1, got {self.workers!r}")
+        if not isinstance(self.seeds, (list, tuple)) \
+                or not all(is_int(s) and s >= 0 for s in self.seeds):
+            raise PermselError(
+                f"seeds must be a list of integers >= 0, got {self.seeds!r}")
+        if not isinstance(self.k_values, (list, tuple)) \
+                or not all(is_int(k) and k >= 1 or k in ("N1", "N2")
+                           for k in self.k_values):
+            raise PermselError(f"k_values must be a list of integers >= 1, 'N1' "
+                               f"or 'N2', got {self.k_values!r}")
+        if not isinstance(self.stratified, bool):
+            raise PermselError(
+                f"stratified must be true or false, got {self.stratified!r}")
+        if not (self.output_dir is None
+                or isinstance(self.output_dir, (str, os.PathLike))):
+            raise PermselError(
+                f"output_dir must be null or a path, got {self.output_dir!r}")
         if not self.datasets or not self.methods or not self.seeds:
             raise PermselError("need at least one dataset, method, and seed")
+        for i, d in enumerate(self.datasets):
+            if d.synthetic is not None:
+                d.synthetic.validate(f"datasets[{i}].synthetic.")
+        self.learner.validate("learner.")
         kinds = set()
         for i, m in enumerate(self.methods):
             m.validate(f"methods[{i}].")
@@ -134,9 +158,6 @@ class ExperimentConfig:
                 if d.task is Task.REGRESSION:
                     raise PermselError(f"infogain needs classification data; "
                                        f"dataset {d.name} is regression")
-        for k in self.k_values:
-            if not (isinstance(k, int) and k >= 1) and k not in ("N1", "N2"):
-                raise PermselError(f"bad k value {k!r}")
 
 
 @dataclass
@@ -573,7 +594,7 @@ def _from_entries(cls, entries: dict, **overrides):
 
 
 def parse_task(text: str) -> Task:
-    t = text.lower()
+    t = text.lower() if isinstance(text, str) else text
     if t in ("classification", "cls", "c"):
         return Task.CLASSIFICATION
     if t in ("regression", "reg", "r"):

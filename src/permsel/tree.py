@@ -4,7 +4,10 @@ Trees are grown depth-first (left child first) with an explicit stack.
 Split search uses midpoint thresholds between consecutive distinct sorted
 values; candidate features are drawn per node from the tree's own random
 stream. Ties in impurity are broken by lowest feature index, then lowest
-threshold, so growth is fully deterministic for a given stream.
+threshold, so growth is fully deterministic for a given stream. The
+trees of a forest grow in lockstep (``grow_forest``): each step searches
+the next node of every tree in one batched call, and every tree comes
+out as it would grown alone.
 
 Prediction runs on a ``CompiledForest``: the nodes of any number of trees
 in one table, traversed by every tree for every row at once.
@@ -97,98 +100,233 @@ class CompiledForest:
 
 def _leaf_value(y, classification: bool, class_count: int) -> float:
     if classification:
-        counts = np.bincount(y.astype(np.int64), minlength=class_count)
+        counts = np.bincount(y.astype(np.int64, copy=False), minlength=class_count)
         return float(np.argmax(counts))  # argmax -> lowest class wins ties
-    return float(np.mean(y))
+    return float(y.sum() / y.size)  # np.mean's sum and division
 
 
-def _best_split(X, rows, y_node, candidates, classification, class_count):
-    """Best (feature, threshold) over all candidate features, or None.
+def _best_splits(XT, target, nodes, classification, class_count):
+    """Best (feature, threshold) of each (rows, candidates) node, or None
+    where a node has no split, from one search over all of them.
 
-    Evaluates every candidate column at once: columns are sorted together,
-    weighted child impurities computed from prefix sums, and the winner is
-    the first minimum in (feature, position) order, which realizes the
+    ``XT`` is the feature-major matrix whose last column is a sentinel
+    row of +inf, and ``target`` gives that row the target 0 (regression)
+    or ``class_count``, which counts for no class. Shorter nodes are
+    padded with it to the longest one, so the values form one
+    (nodes, candidates, width) block sorted along its last axis; the
+    padding sorts last and no split is taken at or past a node's last
+    row. Every node's weighted child impurities are the per-node
+    search's, term for term: class counts are exact integers in any
+    order of tied values, and where tied values carry different
+    regression targets that feature row is re-sorted stably, so its
+    prefix sums add the targets in the same order. The winner is the
+    first minimum in (feature, position) order, the
     lowest-feature-then-lowest-threshold tie rule.
     """
-    m = rows.size
-    V = X[np.ix_(rows, candidates)]
-    order = np.argsort(V, axis=0, kind="stable")
-    vs = np.take_along_axis(V, order, axis=0)
-    valid = vs[1:] != vs[:-1]                       # (m-1, k) split positions
-    if not valid.any():
-        return None
-    ys = y_node[order]                              # (m, k)
-    n_left = np.arange(1, m, dtype=float)[:, None]
-    n_right = m - n_left
-    if classification:
-        sq_left = np.zeros((m - 1, V.shape[1]))
-        sq_right = np.zeros((m - 1, V.shape[1]))
-        for c in range(class_count):
-            cum = np.cumsum(ys == c, axis=0)
-            left = cum[:-1].astype(float)
-            sq_left += left * left
-            right = cum[-1] - cum[:-1]
-            sq_right += right * right
-        gini_left = 1.0 - sq_left / (n_left * n_left)
-        gini_right = 1.0 - sq_right / (n_right * n_right)
-        weighted = (n_left * gini_left + n_right * gini_right) / m
+    B = len(nodes)
+    stride = XT.shape[1]
+    if B == 1:
+        R = nodes[0][0][None, :]
+        C = nodes[0][1][None, :]
+        m = width = R.shape[1]
+        last = None
     else:
-        cy = np.cumsum(ys, axis=0)
-        cy2 = np.cumsum(ys * ys, axis=0)
-        sum_left, sum2_left = cy[:-1], cy2[:-1]
-        sum_right, sum2_right = cy[-1] - sum_left, cy2[-1] - sum2_left
-        var_left = np.maximum(sum2_left / n_left - (sum_left / n_left) ** 2, 0.0)
-        var_right = np.maximum(sum2_right / n_right - (sum_right / n_right) ** 2, 0.0)
-        weighted = (n_left * var_left + n_right * var_right) / m
-    weighted[~valid] = np.inf
-    flat = int(np.argmin(weighted.T.ravel()))       # feature-major first minimum
-    f_idx, pos = divmod(flat, m - 1)
-    threshold = 0.5 * (vs[pos, f_idx] + vs[pos + 1, f_idx])
-    return int(candidates[f_idx]), float(threshold)
+        sizes = np.array([rows.size for rows, _ in nodes])
+        width = int(sizes.max())
+        R = np.full((B, width), stride - 1)
+        for i, (rows, _) in enumerate(nodes):
+            R[i, :rows.size] = rows
+        C = np.array([candidates for _, candidates in nodes])
+        m = sizes[:, None, None].astype(float)
+        last = None if sizes.min() == width else sizes[:, None, None] - 1
+    k = C.shape[1]
+    V = XT.take(C[:, :, None] * stride + R[:, None, :])      # (B, k, width)
+    order = V.argsort(axis=-1)
+    vs = V.take(order + np.arange(0, B * k * width, width).reshape(B, k, 1))
+    targets = target.take(R)                                 # (B, width)
+    ys = targets.take(order + np.arange(0, B * width, width)[:, None, None])
+    # tie[i]: no split between flat sorted positions i and i + 1; the last
+    # position of each feature row compares with the next row, so it is
+    # cleared for the target check and then set
+    N = vs.size
+    tie = np.empty(N, dtype=bool)
+    np.equal(vs.reshape(-1)[1:], vs.reshape(-1)[:-1], out=tie[:-1])
+    tie[width - 1::width] = False
+    if not classification:
+        clash = np.empty(N, dtype=bool)
+        np.not_equal(ys.reshape(-1)[1:], ys.reshape(-1)[:-1], out=clash[:-1])
+        clash[-1] = False
+        clash &= tie
+        if clash.any():
+            bad = np.zeros(B * k, dtype=bool)
+            bad[np.flatnonzero(clash) // width] = True
+            bad = bad.reshape(B, k)
+            stable = V[bad].argsort(axis=-1, kind="stable")
+            ys[bad] = targets.take(stable + (np.nonzero(bad)[0] * width)[:, None])
+    tie[width - 1::width] = True
+    tie = tie.reshape(V.shape)
+    if last is not None:
+        tie |= np.arange(width) >= last
+    # [left, right] row counts at each split position; the right count is
+    # 0 only after a node's last row, where tie is set
+    counts = np.empty((2, np.size(m), 1, width))
+    counts[0] = np.arange(1, width + 1)
+    np.maximum(m - counts[0], 1.0, out=counts[1])
+    if classification:
+        # [left, right] sums of squared class counts, from one cumsum over
+        # the one-hot codes of as many classes as fit the size of one root
+        # search (rows x candidates); code class_count counts nothing
+        gini = np.zeros((2,) + V.shape)
+        group = max(1, (stride - 1) * k // V.size)
+        onehot = np.eye(class_count, class_count + 1)
+        for lo in range(0, class_count, group):
+            codes = onehot[lo:lo + group]
+            sides = np.empty((2, codes.shape[0]) + V.shape)
+            np.cumsum(codes.take(ys, axis=1), axis=-1, out=sides[0])
+            np.subtract(sides[0, ..., -1:], sides[0], out=sides[1])
+            sides *= sides
+            gini += sides.sum(axis=1)
+        gini /= counts * counts
+        np.subtract(1.0, gini, out=gini)
+        gini *= counts
+        weighted = np.add(gini[0], gini[1], out=gini[0])
+    else:
+        sums = np.empty((2,) + V.shape)          # [left, right] target sums
+        np.cumsum(ys, axis=-1, out=sums[0])
+        np.subtract(sums[0, ..., -1:], sums[0], out=sums[1])
+        sums2 = np.empty_like(sums)              # and sums of squares
+        np.cumsum(np.multiply(ys, ys, out=ys), axis=-1, out=sums2[0])
+        np.subtract(sums2[0, ..., -1:], sums2[0], out=sums2[1])
+        # count * max(sum2 / count - (sum / count) ** 2, 0)
+        np.divide(sums2, counts, out=sums2)
+        np.divide(sums, counts, out=sums)
+        np.multiply(sums, sums, out=sums)
+        np.subtract(sums2, sums, out=sums2)
+        np.maximum(sums2, 0.0, out=sums2)
+        np.multiply(sums2, counts, out=sums2)
+        weighted = np.add(sums2[0], sums2[1], out=sums2[0])
+    weighted /= m
+    np.copyto(weighted, np.inf, where=tie)
+    if B == 1:
+        best = int(weighted.argmin())
+        if weighted.flat[best] == np.inf:
+            return [None]
+        f, pos = divmod(best, width)
+        return [(int(C[0, f]), float(0.5 * (vs[0, f, pos] + vs[0, f, pos + 1])))]
+    best = weighted.reshape(B, -1).argmin(axis=1)
+    flat = best + np.arange(0, B * k * width, k * width)
+    found = weighted.reshape(-1)[flat] < np.inf
+    vs = vs.reshape(-1)
+    threshold = 0.5 * (vs[flat] + vs[flat + 1])
+    feature = C.reshape(-1)[best // width + np.arange(0, B * k, k)]
+    return [(int(feature[i]), float(threshold[i])) if found[i] else None
+            for i in range(B)]
+
+
+class _Growth:
+    """One tree being grown: its stream, its depth-first stack of
+    (node, rows, depth) and its node arrays, sized for the most nodes a
+    tree on its rows can have (two per row, less one)."""
+
+    __slots__ = ("rng", "stack", "size", "feature", "threshold", "left", "right",
+                 "value")
+
+    def __init__(self, rng, rows):
+        self.rng = rng
+        self.stack = [(0, rows, 0)]
+        self.size = 1
+        capacity = 2 * rows.size - 1
+        self.feature = np.full(capacity, _LEAF, dtype=np.int32)
+        self.threshold = np.zeros(capacity)
+        self.left = np.full(capacity, _LEAF, dtype=np.int32)
+        self.right = np.full(capacity, _LEAF, dtype=np.int32)
+        self.value = np.zeros(capacity)
+
+    def split(self, node, feature, threshold) -> int:
+        """Make ``node`` internal; returns the id of its new left child,
+        the right one being the next id."""
+        left = self.size
+        self.size += 2
+        self.feature[node] = feature
+        self.threshold[node] = threshold
+        self.left[node] = left
+        self.right[node] = left + 1
+        return left
+
+    def tree(self) -> Tree:
+        n = self.size
+        return Tree(self.feature[:n].copy(), self.threshold[:n].copy(),
+                    self.left[:n].copy(), self.right[:n].copy(),
+                    self.value[:n].copy())
+
+
+def grow_forest(X, y, samples, rngs, *, classification: bool, class_count: int,
+                max_features: int, min_samples_split: int,
+                max_depth: int | None) -> list[Tree]:
+    """Grow tree t on the rows ``samples[t]`` of (X, y), drawing its
+    candidate features from ``rngs[t]``; all trees in lockstep.
+
+    Each tree keeps its own depth-first stack (left child first) and its
+    own stream, so it is the tree a one-at-a-time growth would give. A
+    step pops the next node of every tree that needs a split search
+    (settling the leaves on the way), and searches all of those nodes
+    together, batched by row count rounded up to a power of two. A batch
+    holds at most as many rows as X, the size of one root search.
+    """
+    n, w = X.shape
+    depth_limit = np.inf if max_depth is None else max_depth
+    XT = np.empty((w, n + 1))
+    XT[:, :n] = X.T
+    XT[:, n] = np.inf
+    target = np.append(y, class_count if classification else 0)
+    growths = [_Growth(rng, rows) for rng, rows in zip(rngs, samples)]
+    live = growths
+    while live:
+        buckets: dict[int, list] = {}
+        for g in live:
+            while g.stack:
+                node, rows, depth = g.stack.pop()
+                y_node = y[rows]
+                if (rows.size < min_samples_split or depth >= depth_limit
+                        or (y_node == y_node[0]).all()):
+                    g.value[node] = _leaf_value(y_node, classification,
+                                                class_count)
+                    continue
+                if max_features < w:
+                    candidates = np.sort(g.rng.choice(w, size=max_features,
+                                                      replace=False))
+                else:
+                    candidates = np.arange(w)
+                buckets.setdefault((rows.size - 1).bit_length(), []).append(
+                    (g, node, rows, depth, y_node, candidates))
+                break
+        for bucket, items in buckets.items():
+            per_call = max(1, n >> bucket)
+            for i in range(0, len(items), per_call):
+                chunk = items[i:i + per_call]
+                found = _best_splits(XT, target, [(it[2], it[5]) for it in chunk],
+                                     classification, class_count)
+                for (g, node, rows, depth, y_node, _), best in zip(chunk, found):
+                    if best is None:
+                        g.value[node] = _leaf_value(y_node, classification,
+                                                    class_count)
+                        continue
+                    f, thr = best
+                    mask = XT[f].take(rows) <= thr
+                    left = g.split(node, f, thr)
+                    # push right first so the left subtree is grown first
+                    g.stack.append((left + 1, rows[~mask], depth + 1))
+                    g.stack.append((left, rows[mask], depth + 1))
+        live = [g for g in live if g.stack]
+    return [g.tree() for g in growths]
 
 
 def grow_tree(X, y, rng, *, classification: bool, class_count: int,
               max_features: int, min_samples_split: int,
               max_depth: int | None) -> Tree:
     """Grow one tree on the (already resampled) training arrays."""
-    n, w = X.shape
-    depth_limit = np.inf if max_depth is None else max_depth
-    feature, threshold, left, right, value = [], [], [], [], []
-
-    def new_node():
-        feature.append(_LEAF)
-        threshold.append(0.0)
-        left.append(_LEAF)
-        right.append(_LEAF)
-        value.append(0.0)
-        return len(feature) - 1
-
-    root = new_node()
-    stack = [(root, np.arange(n), 0)]
-    while stack:
-        node_id, rows, depth = stack.pop()
-        y_node = y[rows]
-        if (rows.size < min_samples_split or depth >= depth_limit
-                or np.all(y_node == y_node[0])):
-            value[node_id] = _leaf_value(y_node, classification, class_count)
-            continue
-        if max_features < w:
-            candidates = np.sort(rng.choice(w, size=max_features, replace=False))
-        else:
-            candidates = np.arange(w)
-        best = _best_split(X, rows, y_node, candidates, classification, class_count)
-        if best is None:
-            value[node_id] = _leaf_value(y_node, classification, class_count)
-            continue
-        f, thr = best
-        mask = X[rows, f] <= thr
-        left_id = new_node()
-        right_id = new_node()
-        feature[node_id] = f
-        threshold[node_id] = thr
-        left[node_id] = left_id
-        right[node_id] = right_id
-        # push right first so the left subtree is grown first
-        stack.append((right_id, rows[~mask], depth + 1))
-        stack.append((left_id, rows[mask], depth + 1))
-    return Tree(feature, threshold, left, right, value)
+    return grow_forest(X, y, [np.arange(X.shape[0])], [rng],
+                       classification=classification, class_count=class_count,
+                       max_features=max_features,
+                       min_samples_split=min_samples_split,
+                       max_depth=max_depth)[0]

@@ -3,7 +3,8 @@
 Everything here is deliberately brute-force: quadratic dominance
 classification, inclusion-exclusion and Monte-Carlo areas, full 2^n
 sign enumeration for the signed-rank test, a column-by-column
-permutation-importance loop, and tree-by-tree forest prediction. None
+permutation-importance loop, tree-by-tree forest prediction, and a
+tree grown one node at a time with a stable sort per split search. None
 of it shares code with the package beyond the evaluation context or
 fitted trees it is handed.
 """
@@ -110,6 +111,132 @@ def forest_predict_reference(model, X):
     for t in range(votes.shape[0]):
         counts[rows, votes[t]] += 1
     return np.argmax(counts, axis=1)
+
+
+def _leaf_value_reference(y, classification, class_count):
+    if classification:
+        counts = np.bincount(y.astype(np.int64), minlength=class_count)
+        return float(np.argmax(counts))  # argmax -> lowest class wins ties
+    return float(np.mean(y))
+
+
+def best_split_reference(X, rows, y_node, candidates, classification,
+                         class_count):
+    """Best (feature, threshold) over all candidate features, or None.
+
+    Evaluates every candidate column at once: columns are sorted together,
+    weighted child impurities computed from prefix sums, and the winner is
+    the first minimum in (feature, position) order, which realizes the
+    lowest-feature-then-lowest-threshold tie rule.
+    """
+    m = rows.size
+    V = X[np.ix_(rows, candidates)]
+    order = np.argsort(V, axis=0, kind="stable")
+    vs = np.take_along_axis(V, order, axis=0)
+    valid = vs[1:] != vs[:-1]                       # (m-1, k) split positions
+    if not valid.any():
+        return None
+    ys = y_node[order]                              # (m, k)
+    n_left = np.arange(1, m, dtype=float)[:, None]
+    n_right = m - n_left
+    if classification:
+        sq_left = np.zeros((m - 1, V.shape[1]))
+        sq_right = np.zeros((m - 1, V.shape[1]))
+        for c in range(class_count):
+            cum = np.cumsum(ys == c, axis=0)
+            left = cum[:-1].astype(float)
+            sq_left += left * left
+            right = cum[-1] - cum[:-1]
+            sq_right += right * right
+        gini_left = 1.0 - sq_left / (n_left * n_left)
+        gini_right = 1.0 - sq_right / (n_right * n_right)
+        weighted = (n_left * gini_left + n_right * gini_right) / m
+    else:
+        cy = np.cumsum(ys, axis=0)
+        cy2 = np.cumsum(ys * ys, axis=0)
+        sum_left, sum2_left = cy[:-1], cy2[:-1]
+        sum_right, sum2_right = cy[-1] - sum_left, cy2[-1] - sum2_left
+        var_left = np.maximum(sum2_left / n_left - (sum_left / n_left) ** 2, 0.0)
+        var_right = np.maximum(
+            sum2_right / n_right - (sum_right / n_right) ** 2, 0.0)
+        weighted = (n_left * var_left + n_right * var_right) / m
+    weighted[~valid] = np.inf
+    flat = int(np.argmin(weighted.T.ravel()))       # feature-major first minimum
+    f_idx, pos = divmod(flat, m - 1)
+    threshold = 0.5 * (vs[pos, f_idx] + vs[pos + 1, f_idx])
+    return int(candidates[f_idx]), float(threshold)
+
+
+def grow_tree_reference(X, y, rng, *, classification, class_count,
+                        max_features, min_samples_split, max_depth):
+    """One tree grown depth-first (left child first), one node at a time,
+    with a stable sort per split search. Returns the node arrays."""
+    n, w = X.shape
+    depth_limit = np.inf if max_depth is None else max_depth
+    feature, threshold, left, right, value = [], [], [], [], []
+
+    def leaf_value(y_node):
+        return _leaf_value_reference(y_node, classification, class_count)
+
+    def new_node():
+        feature.append(-1)
+        threshold.append(0.0)
+        left.append(-1)
+        right.append(-1)
+        value.append(0.0)
+        return len(feature) - 1
+
+    root = new_node()
+    stack = [(root, np.arange(n), 0)]
+    while stack:
+        node_id, rows, depth = stack.pop()
+        y_node = y[rows]
+        if (rows.size < min_samples_split or depth >= depth_limit
+                or np.all(y_node == y_node[0])):
+            value[node_id] = leaf_value(y_node)
+            continue
+        if max_features < w:
+            candidates = np.sort(rng.choice(w, size=max_features, replace=False))
+        else:
+            candidates = np.arange(w)
+        best = best_split_reference(X, rows, y_node, candidates,
+                                    classification, class_count)
+        if best is None:
+            value[node_id] = leaf_value(y_node)
+            continue
+        f, thr = best
+        mask = X[rows, f] <= thr
+        left_id = new_node()
+        right_id = new_node()
+        feature[node_id] = f
+        threshold[node_id] = thr
+        left[node_id] = left_id
+        right[node_id] = right_id
+        # push right first so the left subtree is grown first
+        stack.append((right_id, rows[~mask], depth + 1))
+        stack.append((left_id, rows[mask], depth + 1))
+    return {"feature": np.asarray(feature, dtype=np.int32),
+            "threshold": np.asarray(threshold, dtype=float),
+            "left": np.asarray(left, dtype=np.int32),
+            "right": np.asarray(right, dtype=np.int32),
+            "value": np.asarray(value, dtype=float)}
+
+
+def fit_forest_reference(X, y, *, n_trees, seed, bootstrap, **grow_kwargs):
+    """Trees of a forest grown one after the other: tree t draws its
+    bootstrap rows (if any) and then its candidates from the stream
+    ``default_rng([seed, t])``, on a copy of the resampled rows."""
+    n = X.shape[0]
+    trees = []
+    for t in range(n_trees):
+        rng = np.random.default_rng([seed, t])
+        if bootstrap:
+            sample = rng.integers(0, n, size=n)
+            Xt, yt = X[sample], y[sample]
+        else:
+            Xt, yt = X, y
+        trees.append(grow_tree_reference(Xt, yt, rng, **grow_kwargs))
+    return trees
 
 
 def wilcoxon_enumeration_p(diffs):

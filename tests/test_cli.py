@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from permsel.cli import main
 from permsel.dataset import Task, load_csv
 
@@ -102,4 +104,27 @@ class TestErrors:
         assert err.splitlines() == [
             "permsel: error: population_size must be even and >= 4"]
         assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("changes, message", [
+        ({"learner": {"n_trees": 0}}, "learner.n_trees must be an integer >= 1, got 0"),
+        ({"learner": {"n_trees": "5"}},
+         "learner.n_trees must be an integer >= 1, got '5'"),
+        ({"workers": "2"}, "workers must be an integer >= 1, got '2'"),
+        ({"seeds": 3}, "seeds must be a list of integers >= 0, got 3"),
+    ])
+    def test_wrong_value_is_one_line(self, tmp_path, capsys, changes, message):
+        data = _synth_csv(tmp_path)
+        cfg = {
+            "datasets": [{"name": "syn", "task": "reg", "path": str(data)}],
+            "methods": [{"kind": "corr"}],
+            **changes,
+        }
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        capsys.readouterr()
+        rc = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == [f"permsel: error: {message}"]
         assert not (tmp_path / "o").exists()

@@ -4,7 +4,7 @@ import pytest
 from permsel.dataset import Dataset, RowView, Task, split
 from permsel.errors import PermselError
 from permsel.learner import LearnerSpec, fit
-from permsel.metrics import Metric, accuracy
+from permsel.metrics import Metric, accuracy, rmse
 from permsel.permutation import (
     EvalContext,
     FeatureScores,
@@ -350,3 +350,44 @@ class TestSelectTopK:
             for a, b in zip(fs.ranking[:-1], fs.ranking[1:]):
                 if fs.scores[a] == fs.scores[b]:
                     assert a < b
+
+
+class TestEdgeEvaluationRows:
+    def test_ba_with_class_absent_from_eval_rows(self):
+        # three classes in training, only two in the evaluation rows: BA
+        # averages the recall of the two present classes, never 0/0
+        rng = np.random.default_rng(3)
+        X = rng.standard_normal((90, 4))
+        y = np.digitize(X[:, 0] + 0.3 * X[:, 1], [-0.5, 0.5])
+        model = fit(LearnerSpec(n_trees=7, seed=1),
+                    RowView(X, y, Task.CLASSIFICATION, class_count=3))
+        keep = y < 2
+        rows = RowView(X[keep], y[keep], Task.CLASSIFICATION, class_count=3)
+        ctx = EvalContext(model, rows, Metric.BA)
+
+        def ba(pred):
+            return float(np.mean([np.mean(pred[rows.y == c] == c) for c in (0, 1)]))
+
+        assert ctx.baseline_perf == ba(model.predict(rows.X))
+        draw = np.random.default_rng(5)
+        Xp = rows.X.copy()
+        for col in range(4):
+            Xp[:, col] = draw.permutation(Xp[:, col])
+        got = merit(ctx, np.ones(4, dtype=np.uint8), np.random.default_rng(5))
+        assert got == abs(ctx.baseline_perf - ba(model.predict(Xp)))
+        scores = pfi_rank(ctx, repeats=2, rng=np.random.default_rng(0)).scores
+        assert np.isfinite(scores).all() and (scores >= 0).all()
+
+    def test_constant_target_eval_rows(self, small_regression, tiny_learner):
+        # zero target range: RMSE is still defined and the metric range
+        # used to normalise diagnostics falls back to 1
+        ds = small_regression
+        model = fit(tiny_learner, ds.rows(np.arange(60)))
+        rows = RowView(ds.X[60:], np.full(20, 1.5), Task.REGRESSION)
+        ctx = EvalContext(model, rows, Metric.RMSE)
+        assert ctx.baseline_perf == rmse(rows.y, model.predict(rows.X))
+        assert ctx.metric_range() == 1.0
+        chromosome = np.ones(ds.n_features, dtype=np.uint8)
+        assert merit(ctx, chromosome, np.random.default_rng(1)) >= 0.0
+        scores = pfi_rank(ctx, repeats=2, rng=np.random.default_rng(0)).scores
+        assert np.isfinite(scores).all() and (scores >= 0).all()

@@ -244,6 +244,55 @@ class TestConfigFailsFast:
                                         methods=[MethodSpec(kind, params)]))
         assert loads == []
 
+    @pytest.mark.parametrize("learner, message", [
+        ({"n_trees": 0}, "learner.n_trees must be an integer >= 1"),
+        ({"n_trees": "5"}, "learner.n_trees must be an integer >= 1, got '5'"),
+        ({"n_trees": 2.0}, "learner.n_trees"),
+        ({"max_features": "half"}, "learner.max_features"),
+        ({"max_features": 0}, "learner.max_features"),
+        ({"max_depth": -1}, "learner.max_depth"),
+        ({"min_samples_split": True}, "learner.min_samples_split"),
+        ({"bootstrap": "yes"}, "learner.bootstrap"),
+        ({"seed": -1}, "learner.seed"),
+    ])
+    def test_learner_spec_checked(self, tmp_path, loads, learner, message):
+        cfg = dataclasses.replace(_mini_config(tmp_path),
+                                  learner=LearnerSpec(**learner))
+        with pytest.raises(PermselError, match=re.escape(message)):
+            run_experiment(cfg)
+        assert loads == []
+
+    @pytest.mark.parametrize("changes, message", [
+        ({"workers": "2"}, "workers must be an integer >= 1, got '2'"),
+        ({"workers": 0}, "workers"),
+        ({"seeds": 3}, "seeds must be a list of integers >= 0, got 3"),
+        ({"seeds": [0, 1.5]}, "seeds"),
+        ({"seeds": [-1]}, "seeds"),
+        ({"k_values": [2, True]}, "k_values"),
+        ({"k_values": ["N3"]}, "k_values"),
+        ({"k_values": 5}, "k_values"),
+        ({"stratified": "no"}, "stratified"),
+        ({"output_dir": 7}, "output_dir"),
+    ])
+    def test_wrong_types_rejected(self, tmp_path, loads, changes, message):
+        cfg = dataclasses.replace(_mini_config(tmp_path), **changes)
+        with pytest.raises(PermselError, match=re.escape(message)):
+            run_experiment(cfg)
+        assert loads == []
+
+    @pytest.mark.parametrize("params, message", [
+        ({"population_size": "8"}, "population_size"),
+        ({"generations": 2.5}, "generations"),
+        ({"crossover_prob": "1"}, "crossover_prob"),
+        ({"mutation_prob": True}, "mutation_prob"),
+        ({"init_prob": "0.5"}, "init_prob"),
+    ])
+    def test_search_param_types_checked(self, tmp_path, loads, params, message):
+        methods = [MethodSpec("subset-v2", {**MOEA_PARAMS, **params})]
+        with pytest.raises(PermselError, match=re.escape(message)):
+            run_experiment(_mini_config(tmp_path, methods=methods))
+        assert loads == []
+
     @pytest.mark.parametrize("edit, message", [
         (lambda raw: raw["learner"].update(n_tree=3), "unknown config key 'learner.n_tree'"),
         (lambda raw: raw["datasets"][0]["synthetic"].update(seeed=1),
@@ -258,6 +307,16 @@ class TestConfigFailsFast:
          "missing config key 'datasets[0].task'"),
         (lambda raw: raw["methods"][0].pop("kind"),
          "missing config key 'methods[0].kind'"),
+        (lambda raw: raw["learner"].update(n_trees=0), "learner.n_trees"),
+        (lambda raw: raw["learner"].update(n_trees="5"), "learner.n_trees"),
+        (lambda raw: raw.update(workers="2"), "workers"),
+        (lambda raw: raw.update(seeds=3), "seeds"),
+        (lambda raw: raw["methods"][0].update(generations="5"), "generations"),
+        (lambda raw: raw["datasets"][0].update(task=3), "unknown task 3"),
+        (lambda raw: raw["datasets"][0]["synthetic"].update(n_instances="50"),
+         "datasets[0].synthetic.n_instances must be an integer >= 1, got '50'"),
+        (lambda raw: raw["datasets"][0]["synthetic"].update(noise=None),
+         "datasets[0].synthetic.noise"),
     ])
     def test_load_config_names_bad_key(self, tmp_path, edit, message):
         raw = {
