@@ -125,20 +125,14 @@ def _best_splits(XT, target, nodes, classification, class_count):
     """
     B = len(nodes)
     stride = XT.shape[1]
-    if B == 1:
-        R = nodes[0][0][None, :]
-        C = nodes[0][1][None, :]
-        m = width = R.shape[1]
-        last = None
-    else:
-        sizes = np.array([rows.size for rows, _ in nodes])
-        width = int(sizes.max())
-        R = np.full((B, width), stride - 1)
-        for i, (rows, _) in enumerate(nodes):
-            R[i, :rows.size] = rows
-        C = np.array([candidates for _, candidates in nodes])
-        m = sizes[:, None, None].astype(float)
-        last = None if sizes.min() == width else sizes[:, None, None] - 1
+    sizes = np.array([rows.size for rows, _ in nodes])
+    width = int(sizes.max())
+    R = np.full((B, width), stride - 1)
+    for i, (rows, _) in enumerate(nodes):
+        R[i, :rows.size] = rows
+    C = np.array([candidates for _, candidates in nodes])
+    m = sizes[:, None, None].astype(float)
+    last = None if sizes.min() == width else sizes[:, None, None] - 1
     k = C.shape[1]
     V = XT.take(C[:, :, None] * stride + R[:, None, :])      # (B, k, width)
     order = V.argsort(axis=-1)
@@ -207,12 +201,6 @@ def _best_splits(XT, target, nodes, classification, class_count):
         weighted = np.add(sums2[0], sums2[1], out=sums2[0])
     weighted /= m
     np.copyto(weighted, np.inf, where=tie)
-    if B == 1:
-        best = int(weighted.argmin())
-        if weighted.flat[best] == np.inf:
-            return [None]
-        f, pos = divmod(best, width)
-        return [(int(C[0, f]), float(0.5 * (vs[0, f, pos] + vs[0, f, pos + 1])))]
     best = weighted.reshape(B, -1).argmin(axis=1)
     flat = best + np.arange(0, B * k * width, k * width)
     found = weighted.reshape(-1)[flat] < np.inf
