@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import csv
 import enum
+import itertools
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -158,48 +160,51 @@ class SyntheticSpec:
 
 
 def load_csv(path, task: Task, target_col: int | None = None) -> Dataset:
-    """Load a headered CSV into a Dataset.
+    """Load a headered CSV into a Dataset in one streaming pass.
 
-    The target column defaults to the last one. Feature cells must be
-    numeric; the loader rejects empty cells and short rows outright.
-    Classification labels are mapped to 0..q-1 in first-appearance order.
+    The target column defaults to the last one. Rows are read one at a
+    time: the feature cells of a row are stripped and parsed with
+    ``float()`` into a growing float64 buffer, which becomes the feature
+    matrix without a copy, and only the target cells are kept as strings
+    until the last row. So one row of cells at a time is held as Python
+    strings. Feature cells must be numeric; empty cells and short or
+    long rows are rejected, naming the 1-based row (the header is row 1)
+    and column. Classification labels are mapped to 0..q-1 in
+    first-appearance order. Regression targets are parsed after the last
+    row, so a bad feature cell on any row is reported before a
+    non-numeric target.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise EmptyDataError(f"{path}: empty file") from None
-        rows = list(reader)
-    if not rows:
-        raise EmptyDataError(f"{path}: no data rows")
-    n_cols = len(header)
-    if n_cols < 2:
-        raise DatasetError(f"{path}: need at least one feature column and a target")
-    tcol = n_cols - 1 if target_col is None else target_col
-    if not (0 <= tcol < n_cols):
-        raise DatasetError(f"target column {tcol} out of range")
+        header = next(reader, None)
+        if header is None:
+            raise EmptyDataError(f"{path}: empty file")
+        first = next(reader, None)
+        if first is None:
+            raise EmptyDataError(f"{path}: no data rows")
+        n_cols = len(header)
+        if n_cols < 2:
+            raise DatasetError(f"{path}: need at least one feature column and a target")
+        tcol = n_cols - 1 if target_col is None else target_col
+        if not (0 <= tcol < n_cols):
+            raise DatasetError(f"target column {tcol} out of range")
 
-    feat_cols = [j for j in range(n_cols) if j != tcol]
-    X = np.empty((len(rows), len(feat_cols)), dtype=float)
-    raw_targets: list[str] = []
-    for i, row in enumerate(rows):
-        if len(row) != n_cols:
-            raise MissingValueError(i + 2, len(row) + 1)
-        for k, j in enumerate(feat_cols):
-            cell = row[j].strip()
-            if cell == "":
-                raise MissingValueError(i + 2, j + 1)
+        values = array("d")
+        raw_targets: list[str] = []
+        for line, row in enumerate(itertools.chain([first], reader), start=2):
+            if len(row) != n_cols:
+                raise MissingValueError(line, len(row) + 1)
+            target = row.pop(tcol).strip()
             try:
-                X[i, k] = float(cell)
+                values.extend(map(float, map(str.strip, row)))
             except ValueError:
-                raise NonNumericValueError(i + 2, j + 1, row[j]) from None
-        tcell = row[tcol].strip()
-        if tcell == "":
-            raise MissingValueError(i + 2, tcol + 1)
-        raw_targets.append(tcell)
+                raise _cell_error(line, row, tcol) from None
+            if target == "":
+                raise MissingValueError(line, tcol + 1)
+            raw_targets.append(target)
 
-    feature_names = [header[j] for j in feat_cols]
+    X = np.frombuffer(values, dtype=float).reshape(len(raw_targets), n_cols - 1)
+    feature_names = header[:tcol] + header[tcol + 1:]
     target_name = header[tcol]
     if task is Task.CLASSIFICATION:
         class_names: list[str] = []
@@ -213,20 +218,28 @@ def load_csv(path, task: Task, target_col: int | None = None) -> Dataset:
         if len(class_names) < 2:
             raise SingleClassError(f"{path}: classification target has a single class")
         return Dataset(X, y, task, feature_names, class_names, target_name)
-    try:
-        y = np.array([float(t) for t in raw_targets], dtype=float)
-    except ValueError:
-        bad = next(t for t in raw_targets if not _is_float(t))
-        raise NonNumericValueError(0, tcol + 1, bad) from None
+    y = np.empty(len(raw_targets), dtype=float)
+    for i, t in enumerate(raw_targets):
+        try:
+            y[i] = float(t)
+        except ValueError:
+            raise NonNumericValueError(i + 2, tcol + 1, t) from None
     return Dataset(X, y, task, feature_names, None, target_name)
 
 
-def _is_float(s: str) -> bool:
-    try:
-        float(s)
-        return True
-    except ValueError:
-        return False
+def _cell_error(line: int, features: list[str], tcol: int) -> DatasetError:
+    """The error for the first feature cell of a row that fails to parse;
+    ``features`` is the row without its target cell."""
+    for k, raw in enumerate(features):
+        col = k + 1 if k < tcol else k + 2
+        cell = raw.strip()
+        if cell == "":
+            return MissingValueError(line, col)
+        try:
+            float(cell)
+        except ValueError:
+            return NonNumericValueError(line, col, raw)
+    raise AssertionError("no bad cell in a row that failed to parse")
 
 
 def write_csv(dataset: Dataset, path):

@@ -47,6 +47,10 @@ class ZeroRangeError(MetricError):
     """The reference target has zero range, so nRMSE is undefined."""
 
 
+class ZeroVarianceError(MetricError):
+    """The target has zero variance, so R2 is undefined."""
+
+
 class LearnerError(PermselError):
     """Invalid learner configuration or training input."""
 

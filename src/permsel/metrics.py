@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MetricError, ZeroRangeError
+from .errors import MetricError, ZeroRangeError, ZeroVarianceError
 
 
 class Orientation(enum.Enum):
@@ -116,7 +116,7 @@ def r_squared(y, yhat) -> float:
         raise MetricError("need at least 2 values for r_squared")
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     if ss_tot == 0.0:
-        raise MetricError("target has zero variance")
+        raise ZeroVarianceError("target has zero variance")
     ss_res = float(np.sum((y - yhat) ** 2))
     return 1.0 - ss_res / ss_tot
 

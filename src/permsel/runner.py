@@ -43,7 +43,7 @@ from .dataset import (
     load_csv,
     split,
 )
-from .errors import PermselError, is_int
+from .errors import PermselError, ZeroVarianceError, is_int
 from .learner import LearnerSpec
 from .metrics import Metric, accuracy, balanced_accuracy, nrmse, r_squared, rmse
 from .moea import MoeaConfig, RunTrace, evolve
@@ -228,9 +228,10 @@ def run_selection(dataset: Dataset, partition: Partition, method: MethodSpec,
 
 
 def evaluate_subset(dataset: Dataset, partition: Partition, features,
-                    learner_spec: LearnerSpec, seed: int) -> dict[str, float]:
+                    learner_spec: LearnerSpec, seed: int) -> dict[str, float | None]:
     """Retrain on train+validation restricted to the features; score both
-    that set and the held-out test set."""
+    that set and the held-out test set. R2 is None on a set whose target
+    is constant, where it is undefined."""
     features = np.asarray(sorted(features), dtype=np.int64)
     if features.size == 0:
         raise PermselError("cannot evaluate an empty feature set")
@@ -240,7 +241,7 @@ def evaluate_subset(dataset: Dataset, partition: Partition, features,
     model = learner_mod.fit(seeded, fit_rows)
     pred_train = model.predict(fit_rows.X)
     pred_test = model.predict(test_rows.X)
-    out: dict[str, float] = {}
+    out: dict[str, float | None] = {}
     if dataset.task is Task.CLASSIFICATION:
         q = dataset.class_count
         out["acc_train"] = accuracy(fit_rows.y, pred_train)
@@ -251,11 +252,18 @@ def evaluate_subset(dataset: Dataset, partition: Partition, features,
         y_range = dataset.y  # one range per dataset keeps nRMSE comparable
         out["rmse_train"] = rmse(fit_rows.y, pred_train)
         out["nrmse_train"] = nrmse(out["rmse_train"], y_range)
-        out["r2_train"] = r_squared(fit_rows.y, pred_train)
+        out["r2_train"] = _r2_or_none(fit_rows.y, pred_train)
         out["rmse_test"] = rmse(test_rows.y, pred_test)
         out["nrmse_test"] = nrmse(out["rmse_test"], y_range)
-        out["r2_test"] = r_squared(test_rows.y, pred_test)
+        out["r2_test"] = _r2_or_none(test_rows.y, pred_test)
     return out
+
+
+def _r2_or_none(y, yhat) -> float | None:
+    try:
+        return r_squared(y, yhat)
+    except ZeroVarianceError:
+        return None
 
 
 def _clamp_k(k: int, width: int, method: str) -> int:

@@ -4,14 +4,26 @@ Everything here is deliberately brute-force: quadratic dominance
 classification, inclusion-exclusion and Monte-Carlo areas, full 2^n
 sign enumeration for the signed-rank test, a column-by-column
 permutation-importance loop, tree-by-tree forest prediction, and a
-tree grown one node at a time with a stable sort per split search. None
+tree grown one node at a time with a stable sort per split search, and
+a CSV loader that reads every row before converting cell by cell. None
 of it shares code with the package beyond the evaluation context or
-fitted trees it is handed.
+fitted trees it is handed, and the dataset and error types the loader
+builds.
 """
 
+import csv
 import itertools
 
 import numpy as np
+
+from permsel.dataset import Dataset, Task
+from permsel.errors import (
+    DatasetError,
+    EmptyDataError,
+    MissingValueError,
+    NonNumericValueError,
+    SingleClassError,
+)
 
 
 def brute_force_fronts(objectives):
@@ -271,3 +283,71 @@ def _midranks(values):
     out = np.empty(values.size)
     out[order] = out_sorted
     return out
+
+
+def load_csv_reference(path, task, target_col=None):
+    """The loader that holds every cell as a string, then converts them
+    one by one. It reports a non-numeric regression target at row 0."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise EmptyDataError(f"{path}: empty file") from None
+        rows = list(reader)
+    if not rows:
+        raise EmptyDataError(f"{path}: no data rows")
+    n_cols = len(header)
+    if n_cols < 2:
+        raise DatasetError(f"{path}: need at least one feature column and a target")
+    tcol = n_cols - 1 if target_col is None else target_col
+    if not (0 <= tcol < n_cols):
+        raise DatasetError(f"target column {tcol} out of range")
+
+    feat_cols = [j for j in range(n_cols) if j != tcol]
+    X = np.empty((len(rows), len(feat_cols)), dtype=float)
+    raw_targets = []
+    for i, row in enumerate(rows):
+        if len(row) != n_cols:
+            raise MissingValueError(i + 2, len(row) + 1)
+        for k, j in enumerate(feat_cols):
+            cell = row[j].strip()
+            if cell == "":
+                raise MissingValueError(i + 2, j + 1)
+            try:
+                X[i, k] = float(cell)
+            except ValueError:
+                raise NonNumericValueError(i + 2, j + 1, row[j]) from None
+        tcell = row[tcol].strip()
+        if tcell == "":
+            raise MissingValueError(i + 2, tcol + 1)
+        raw_targets.append(tcell)
+
+    feature_names = [header[j] for j in feat_cols]
+    target_name = header[tcol]
+    if task is Task.CLASSIFICATION:
+        class_names = []
+        index = {}
+        y = np.empty(len(raw_targets), dtype=np.int64)
+        for i, label in enumerate(raw_targets):
+            if label not in index:
+                index[label] = len(class_names)
+                class_names.append(label)
+            y[i] = index[label]
+        if len(class_names) < 2:
+            raise SingleClassError(f"{path}: classification target has a single class")
+        return Dataset(X, y, task, feature_names, class_names, target_name)
+    try:
+        y = np.array([float(t) for t in raw_targets], dtype=float)
+    except ValueError:
+        bad = next(t for t in raw_targets if not _is_float(t))
+        raise NonNumericValueError(0, tcol + 1, bad) from None
+    return Dataset(X, y, task, feature_names, None, target_name)
+
+
+def _is_float(s):
+    try:
+        float(s)
+        return True
+    except ValueError:
+        return False

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,8 @@ from permsel.errors import (
     NonNumericValueError,
     SingleClassError,
 )
+
+from oracles import load_csv_reference
 
 
 def _write(tmp_path, text, name="data.csv"):
@@ -68,6 +72,12 @@ class TestLoadCsv:
         with pytest.raises(EmptyDataError):
             load_csv(p, Task.REGRESSION)
 
+    def test_non_numeric_target_names_its_row(self, tmp_path):
+        p = _write(tmp_path, "a,b,target\n1,2,3.5\n4,5,oops\n")
+        with pytest.raises(NonNumericValueError) as err:
+            load_csv(p, Task.REGRESSION)
+        assert (err.value.row, err.value.col, err.value.value) == (3, 3, "oops")
+
     def test_single_class_rejected(self, tmp_path):
         p = _write(tmp_path, "a,label\n1,x\n2,x\n")
         with pytest.raises(SingleClassError):
@@ -99,6 +109,106 @@ class TestLoadCsv:
         assert np.array_equal(back.X, ds.X)
         assert np.array_equal(back.y, ds.y)
         assert back.class_names == ds.class_names
+
+
+def _repr_floats_csv():
+    rng = np.random.default_rng(8)
+    X = rng.standard_normal((6, 3)) * 10.0 ** rng.integers(-8, 8, size=(6, 3))
+    lines = ["a,b,c,t"] + [",".join(repr(float(v)) for v in row) + f",{i / 3!r}"
+                           for i, row in enumerate(X)]
+    return "\n".join(lines) + "\n"
+
+
+# (text, task, target_col); every case loads, or fails, the same way
+# through load_csv and load_csv_reference
+REG, CLS = Task.REGRESSION, Task.CLASSIFICATION
+LOADER_CORPUS = {
+    "repr_floats": (_repr_floats_csv(), REG, None),
+    "quoted_numbers": ('a,b,t\n"1.5","-2",3\n4,"5e1","6"\n', REG, None),
+    "space_padded": ("a,b,t\n 1.5 ,\t2 , 3 \n4,5,6\n", REG, None),
+    "nbsp_padded": ("a,t\n\u00a01.5\u00a0,1\n2,2\n", REG, None),
+    "underscore": ("a,t\n1_0,1\n2,2_5\n", REG, None),
+    "exponent": ("a,t\n1e-3,1E+2\n-2.5e10,3\n", REG, None),
+    "crlf": ("a,b,t\r\n1,2,3\r\n4,5,6\r\n", REG, None),
+    "blank_line": ("a,t\n1,2\n\n3,4\n", REG, None),
+    "hash_line": ("a,t\n# note\n1,2\n", REG, None),
+    "hash_cell": ("a,t\n1,2\n#,3\n", REG, None),
+    "short_row": ("a,b,t\n1,2,3\n1,2\n", REG, None),
+    "long_row": ("a,b,t\n1,2,3,4\n", REG, None),
+    "empty_feature": ("a,b,t\n1,2,3\n4,,6\n", REG, None),
+    "blank_feature": ("a,b,t\n1,  ,3\n", REG, None),
+    "empty_target": ("a,b,t\n1,2,3\n4,5,\n", REG, None),
+    "empty_label": ("a,t\n1,x\n2, \n", CLS, None),
+    "non_numeric_feature": ("a,b,t\n1,2,3\n4,x5,6\n", REG, None),
+    "feature_error_before_target_error": ("a,t\n1,2\n3,bad\n,5\n", REG, None),
+    "feature_after_target": ("a,t,b\n1,2,x\n", REG, 1),
+    "empty_target_after_features": ("a,t,b\n1,,x\n", REG, 1),
+    "non_finite": ("a,t\n1,2\ninf,3\n", REG, None),
+    "nan_target": ("a,t\n1,2\n2,nan\n", REG, None),
+    "target_col_0": ("t,a,b\n1,2,3\n4,5,6\n", REG, 0),
+    "target_col_middle": ("a,t,b\n1,2,3\n4,5,6\n", CLS, 1),
+    "target_col_out_of_range": ("a,t\n1,2\n", REG, 2),
+    "target_col_negative": ("a,t\n1,2\n", REG, -1),
+    "labels": ("x,y,label\n1,2,b\n2,3, a \n3,4,b\n4,5,c\n", CLS, None),
+    "numeric_labels": ("x,label\n1,2\n2,1.0\n3,2\n", CLS, None),
+    "single_class": ("a,label\n1,x\n2,x\n", CLS, None),
+    "header_only": ("a,t\n", REG, None),
+    "empty_file": ("", REG, None),
+    "one_column_no_rows": ("t\n", REG, None),
+    "one_column_with_rows": ("t\n1\n2\n", REG, None),
+    "one_column_bad_rows": ("t\n1,2\n", CLS, None),
+}
+
+
+class TestLoadCsvMatchesReference:
+    @pytest.mark.parametrize("case", sorted(LOADER_CORPUS))
+    def test_same_result_or_error(self, tmp_path, case):
+        text, task, target_col = LOADER_CORPUS[case]
+        p = tmp_path / "case.csv"
+        p.write_bytes(text.encode("utf-8"))
+        try:
+            want = load_csv_reference(p, task, target_col)
+        except DatasetError as exc:
+            with pytest.raises(type(exc)) as err:
+                load_csv(p, task, target_col)
+            assert type(err.value) is type(exc)
+            assert str(err.value) == str(exc)
+            return
+        got = load_csv(p, task, target_col)
+        assert got.X.dtype == want.X.dtype and got.X.shape == want.X.shape
+        assert got.X.tobytes() == want.X.tobytes()
+        assert got.y.dtype == want.y.dtype
+        assert got.y.tobytes() == want.y.tobytes()
+        assert got.task is want.task
+        assert got.feature_names == want.feature_names
+        assert got.target_name == want.target_name
+        assert got.class_names == want.class_names
+
+    def test_non_numeric_target_differs_only_in_row(self, tmp_path):
+        p = _write(tmp_path, "a,t\n1,2\n2,x\n")
+        with pytest.raises(NonNumericValueError) as want:
+            load_csv_reference(p, Task.REGRESSION)
+        with pytest.raises(NonNumericValueError) as got:
+            load_csv(p, Task.REGRESSION)
+        assert (want.value.row, got.value.row) == (0, 3)
+        assert (got.value.col, got.value.value) == (want.value.col, want.value.value)
+
+
+class TestLoadCsvMemory:
+    def test_peak_is_a_small_multiple_of_the_matrix(self, tmp_path):
+        rng = np.random.default_rng(5)
+        X = rng.standard_normal((200, 2000))
+        names = [f"f{i}" for i in range(2000)]
+        path = tmp_path / "wide.csv"
+        write_csv(Dataset(X, rng.standard_normal(200), Task.REGRESSION, names), path)
+        tracemalloc.start()
+        try:
+            ds = load_csv(path, Task.REGRESSION)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(ds.X, X)
+        assert peak <= 4 * ds.X.nbytes, f"peak {peak / ds.X.nbytes:.1f}x X.nbytes"
 
 
 class TestSplit:

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 import re
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from permsel import runner
-from permsel.dataset import SyntheticSpec, Task, split, write_csv
+from permsel.dataset import Dataset, SyntheticSpec, Task, split, write_csv
 from permsel.errors import PermselError
 from permsel.learner import LearnerSpec
 from permsel.moea import MoeaConfig
@@ -141,20 +142,23 @@ class TestRunExperiment:
         assert len(trace["hypervolume"]) == 4
         assert (out / "summary" / "means.csv").exists()
 
-    def test_reproducible_across_worker_counts(self, tmp_path):
+    @pytest.mark.parametrize("workers", [4, 8])
+    def test_reproducible_across_worker_counts(self, tmp_path, workers):
+        # one pool task per seed, so every worker has a task to run
+        seeds = range(workers)
         out1 = tmp_path / "w1"
-        out4 = tmp_path / "w4"
-        run_experiment(_mini_config(tmp_path, out=out1, workers=1))
-        run_experiment(_mini_config(tmp_path, out=out4, workers=4))
+        outn = tmp_path / f"w{workers}"
+        run_experiment(_mini_config(tmp_path, seeds=seeds, out=out1, workers=1))
+        run_experiment(_mini_config(tmp_path, seeds=seeds, out=outn, workers=workers))
         lines1 = (out1 / "reports" / "report.csv").read_text().splitlines()
-        lines4 = (out4 / "reports" / "report.csv").read_text().splitlines()
+        linesn = (outn / "reports" / "report.csv").read_text().splitlines()
         header = lines1[0].split(",")
         rt = header.index("runtime_seconds")
 
         def strip(lines):
             return [",".join(c for i, c in enumerate(ln.split(",")) if i != rt)
                     for ln in lines]
-        assert strip(lines1) == strip(lines4)
+        assert strip(lines1) == strip(linesn)
 
         def traces(out):
             docs = {}
@@ -163,8 +167,8 @@ class TestRunExperiment:
                 del doc["wall_time_seconds"]
                 docs[path.name] = doc
             return docs
-        assert len(traces(out1)) == 2
-        assert traces(out1) == traces(out4)
+        assert len(traces(out1)) == workers
+        assert traces(out1) == traces(outn)
 
     def test_classification_dataset_flow(self, tmp_path, small_classification):
         path = tmp_path / "cls.csv"
@@ -378,6 +382,38 @@ class TestEvaluateSubset:
         assert set(out) == {"rmse_train", "nrmse_train", "r2_train",
                             "rmse_test", "nrmse_test", "r2_test"}
         assert out["rmse_train"] >= 0
+
+    def test_constant_test_target_gives_no_r2(self, tmp_path):
+        # 56 rows of target 1.0 and 4 of 0.0; some seeds put no 0.0 row in
+        # the test split, where R2 is undefined but RMSE is not
+        rng = np.random.default_rng(2)
+        y = np.ones(60)
+        y[:4] = 0.0
+        ds = Dataset(rng.standard_normal((60, 3)), y, Task.REGRESSION,
+                     ["a", "b", "c"])
+        seed = next(s for s in range(100)
+                    if np.all(ds.y[split(ds, s).test_idx] == 1.0))
+        out = evaluate_subset(ds, split(ds, seed), [0, 1], LearnerSpec(n_trees=3), 0)
+        assert out["r2_test"] is None
+        assert out["r2_train"] is not None
+        assert out["rmse_test"] >= 0 and out["nrmse_test"] >= 0
+
+        path = tmp_path / "const.csv"
+        write_csv(ds, path)
+        cfg = ExperimentConfig(
+            datasets=[DatasetSpec("const", Task.REGRESSION, path=str(path))],
+            methods=[MethodSpec("corr"), MethodSpec("all")],
+            seeds=[seed], k_values=[2], learner=LearnerSpec(n_trees=3),
+            output_dir=str(tmp_path / "out"))
+        rows = run_experiment(cfg)
+        assert rows and all(r.status == "ok" for r in rows)
+        assert all(r.r2_test is None and r.rmse_test is not None for r in rows)
+        with open(tmp_path / "out" / "reports" / "report.csv", newline="") as fh:
+            report = list(csv.DictReader(fh))
+        assert report and all(r["r2_test"] == "" and r["nrmse_test"] != ""
+                              for r in report)
+        means = aggregate(rows)["means"]
+        assert all(m["mean_r2_test"] is None for m in means)
 
 
 class TestReportCsv:
