@@ -32,7 +32,6 @@ from .dataset import (
 from .learner import LearnerSpec, RandomForestModel, fit
 from .metrics import (
     Metric,
-    MetricValue,
     Orientation,
     accuracy,
     balanced_accuracy,

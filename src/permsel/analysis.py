@@ -158,22 +158,21 @@ class RankingRow:
         return self.wins - self.losses
 
 
-def win_loss_ranking(samples: list[PairedSample],
-                     alpha: float = 0.05) -> list[RankingRow]:
-    """Count significant wins and losses for every method across pairs.
+def win_loss_ranking(outcomes: list[PairwiseOutcome]) -> list[RankingRow]:
+    """Count the significant wins and losses of every method over the
+    ``compare_pair`` outcomes of its pairs.
 
     Rows are sorted by wins minus losses, descending, with method name as
     the tie-break.
     """
     methods: list[str] = []
-    for s in samples:
-        for m in (s.method_a, s.method_b):
+    for o in outcomes:
+        for m in (o.method_a, o.method_b):
             if m not in methods:
                 methods.append(m)
     wins = {m: 0 for m in methods}
     losses = {m: 0 for m in methods}
-    for s in samples:
-        outcome = compare_pair(s, alpha)
+    for outcome in outcomes:
         if outcome.winner is not None:
             loser = outcome.method_b if outcome.winner == outcome.method_a \
                 else outcome.method_a

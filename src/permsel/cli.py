@@ -38,11 +38,12 @@ from .runner import (
 
 
 def _parse_synth_spec(text: str, seed: int) -> SyntheticSpec:
-    parts = text.split(",")
-    if len(parts) != 4:
-        raise SystemExit("--spec expects n,features,informative,noise")
-    return SyntheticSpec(int(parts[0]), int(parts[1]), int(parts[2]),
-                         float(parts[3]), seed)
+    try:
+        n, width, informative, noise = text.split(",")
+        return SyntheticSpec(int(n), int(width), int(informative), float(noise), seed)
+    except ValueError:  # also a count of parts other than four
+        raise PermselError(f"--spec expects n,features,informative,noise, "
+                           f"got {text!r}") from None
 
 
 def cmd_run(args) -> int:
@@ -69,15 +70,14 @@ def cmd_synth(args) -> int:
 
 def cmd_rank(args) -> int:
     task = parse_task(args.task)
+    params = {"pfi-v1": {"repeats": args.repeats}, "pfi-v2": {"repeats": args.repeats},
+              "infogain": {"bins": args.bins}}.get(args.method, {})
+    method = MethodSpec(args.method, {k: v for k, v in params.items() if v is not None})
+    method.validate("--")
     ds = load_csv(args.data, task, target_col=args.target_col)
     part = split(ds, args.seed, stratified=task is Task.CLASSIFICATION)
-    params = {}
-    if args.method in ("pfi-v1", "pfi-v2"):
-        params["repeats"] = args.repeats
-    if args.method == "infogain":
-        params["bins"] = args.bins
     learner = LearnerSpec(n_trees=args.trees)
-    sel = run_selection(ds, part, MethodSpec(args.method, params), args.seed, learner)
+    sel = run_selection(ds, part, method, args.seed, learner)
     order = sel.scores.ranking
     lines = ["feature,name,score"]
     limit = args.k if args.k is not None else len(order)
@@ -144,8 +144,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--task", required=True, choices=["cls", "reg"])
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--repeats", type=int, default=5)
-    p.add_argument("--bins", type=int, default=10)
+    p.add_argument("--repeats", type=int, default=None)
+    p.add_argument("--bins", type=int, default=None)
     p.add_argument("--trees", type=int, default=LearnerSpec.n_trees)
     p.add_argument("--k", type=int, default=None, help="print only the top k")
     p.add_argument("--target-col", type=int, default=None)
@@ -179,7 +179,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except PermselError as exc:
+    except (PermselError, OSError) as exc:  # OSError names its file
         print(f"permsel: error: {exc}", file=sys.stderr)
         return 2
 

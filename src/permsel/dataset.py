@@ -52,11 +52,6 @@ class RowView:
     def n_features(self) -> int:
         return self.X.shape[1]
 
-    def select_features(self, indices) -> "RowView":
-        """View restricted to the given feature columns (copying)."""
-        idx = np.asarray(sorted(indices), dtype=np.int64)
-        return RowView(self.X[:, idx].copy(), self.y, self.task, self.class_count)
-
 
 class Dataset:
     """Numeric tabular data with one target column.
@@ -110,13 +105,14 @@ class Dataset:
     def class_count(self) -> int | None:
         return len(self.class_names) if self.class_names is not None else None
 
-    def rows(self, indices) -> RowView:
-        """Copy the given rows into a RowView, logging access if enabled."""
+    def rows(self, indices, features=None) -> RowView:
+        """Copy the given rows, restricted to ``features`` when given, into
+        a RowView with one fancy index; logs access if enabled."""
         idx = np.asarray(indices, dtype=np.int64)
         if self.row_access_log is not None:
             self.row_access_log.update(int(i) for i in idx)
-        return RowView(self.X[idx].copy(), self.y[idx].copy(), self.task,
-                       self.class_count)
+        X = self.X[idx] if features is None else self.X[np.ix_(idx, features)]
+        return RowView(X, self.y[idx], self.task, self.class_count)
 
 
 @dataclass(frozen=True)
@@ -172,10 +168,11 @@ def load_csv(path, task: Task, target_col: int | None = None) -> Dataset:
     and column. Classification labels are mapped to 0..q-1 in
     first-appearance order. Regression targets are parsed after the last
     row, so a bad feature cell on any row is reported before a
-    non-numeric target.
+    non-numeric target. A byte that is not UTF-8, or a cell over the csv
+    module's size limit, raises a DatasetError naming the file.
     """
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+        reader = _csv_rows(fh, path)
         header = next(reader, None)
         if header is None:
             raise EmptyDataError(f"{path}: empty file")
@@ -225,6 +222,14 @@ def load_csv(path, task: Task, target_col: int | None = None) -> Dataset:
         except ValueError:
             raise NonNumericValueError(i + 2, tcol + 1, t) from None
     return Dataset(X, y, task, feature_names, None, target_name)
+
+
+def _csv_rows(fh, path):
+    """The rows of ``csv.reader``; a decoding or csv fault names the file."""
+    try:
+        yield from csv.reader(fh)
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise DatasetError(f"{path}: {exc}") from None
 
 
 def _cell_error(line: int, features: list[str], tcol: int) -> DatasetError:

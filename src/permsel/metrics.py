@@ -8,7 +8,6 @@ each metric kind so downstream comparisons can be written generically.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,18 +31,6 @@ class Metric(enum.Enum):
         if self in (Metric.ACC, Metric.BA, Metric.R2):
             return Orientation.HIGHER_BETTER
         return Orientation.LOWER_BETTER
-
-
-@dataclass(frozen=True)
-class MetricValue:
-    """A metric kind paired with an observed value."""
-
-    metric: Metric
-    value: float
-
-    @property
-    def orientation(self) -> Orientation:
-        return self.metric.orientation
 
 
 def _paired(y, yhat):
@@ -107,13 +94,12 @@ def r_squared(y, yhat) -> float:
     """Proportion of target variance explained: 1 - SS_res / SS_tot.
 
     SS_tot is taken about the mean of ``y`` itself. The value is not
-    clamped, so poor out-of-sample predictions can yield negatives.
+    clamped, so poor out-of-sample predictions can yield negatives. A
+    constant ``y``, a single value included, raises ZeroVarianceError.
     """
     y, yhat = _paired(y, yhat)
     y = y.astype(float)
     yhat = yhat.astype(float)
-    if y.size < 2:
-        raise MetricError("need at least 2 values for r_squared")
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     if ss_tot == 0.0:
         raise ZeroVarianceError("target has zero variance")

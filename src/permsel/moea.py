@@ -9,7 +9,7 @@ so results are identical under any evaluation schedule.
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -74,11 +74,8 @@ class RunTrace:
     front: list[Individual]
     best: Individual
     wall_time_seconds: float
-    seed: int
-    variant: str
     config: MoeaConfig
     metric_range: float = 1.0
-    best_merit_history: list[float] = field(default_factory=list)
 
     def selected_features(self) -> np.ndarray:
         return np.flatnonzero(self.best.bits)
@@ -87,8 +84,8 @@ class RunTrace:
         front_sorted = sorted(self.front,
                               key=lambda ind: (ind.objectives[0], ind.objectives[1]))
         return {
-            "seed": self.seed,
-            "variant": self.variant,
+            "seed": self.config.seed,
+            "variant": self.config.variant,
             "config": {k: v for k, v in asdict(self.config).items()
                        if k not in ("seed", "variant")},
             "metric_range": self.metric_range,
@@ -313,7 +310,6 @@ def evolve_on_context(ctx: EvalContext, cfg: MoeaConfig) -> RunTrace:
            for i, bits in enumerate(chromosomes)]
     _assign_ranks_and_crowding(pop)
     hv_history = [_normalized_front_hv(pop, metric_range, w)]
-    best_history = [max(ind.merit for ind in pop)]
 
     for gen in range(1, cfg.generations + 1):
         var_rng = np.random.default_rng([cfg.seed, 2, gen])
@@ -334,7 +330,6 @@ def evolve_on_context(ctx: EvalContext, cfg: MoeaConfig) -> RunTrace:
         ]
         pop = _environmental_selection(pop + offspring, mu)
         hv_history.append(_normalized_front_hv(pop, metric_range, w))
-        best_history.append(max(ind.merit for ind in pop))
 
     front = [ind for ind in pop if ind.rank == 0]
     best = select_final(front)
@@ -343,11 +338,8 @@ def evolve_on_context(ctx: EvalContext, cfg: MoeaConfig) -> RunTrace:
         front=front,
         best=best,
         wall_time_seconds=time.perf_counter() - t0,
-        seed=cfg.seed,
-        variant=cfg.variant,
         config=cfg,
         metric_range=metric_range,
-        best_merit_history=best_history,
     )
 
 

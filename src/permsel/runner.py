@@ -55,13 +55,6 @@ SUBSET_METHODS = ("subset-v1", "subset-v2")
 RANKING_METHODS = ("pfi-v1", "pfi-v2", "corr", "infogain")
 ALL_FEATURES = "all"
 
-REPORT_COLUMNS = [
-    "dataset", "task", "method", "k_label", "seed", "selected_count",
-    "acc_train", "ba_train", "rmse_train", "nrmse_train", "r2_train",
-    "acc_test", "ba_test", "rmse_test", "nrmse_test", "r2_test",
-    "runtime_seconds", "status", "error",
-]
-
 
 @dataclass(frozen=True)
 class DatasetSpec:
@@ -70,13 +63,18 @@ class DatasetSpec:
     path: str | None = None
     synthetic: SyntheticSpec | None = None
 
-    def load(self) -> Dataset:
+    def validate(self, where: str = ""):
+        """Check the entry before any load; ``where`` prefixes key paths."""
         if (self.path is None) == (self.synthetic is None):
-            raise PermselError(f"dataset {self.name}: give exactly one of path or synthetic")
+            raise PermselError(f"{where}path and {where}synthetic: give exactly one")
+        if self.synthetic is not None:
+            if self.task is not Task.REGRESSION:
+                raise PermselError(f"{where}task must be regression for synthetic data")
+            self.synthetic.validate(f"{where}synthetic.")
+
+    def load(self) -> Dataset:
         if self.path is not None:
             return load_csv(self.path, self.task)
-        if self.task is not Task.REGRESSION:
-            raise PermselError("synthetic datasets are regression-only")
         return generate_synthetic(self.synthetic)
 
 
@@ -128,6 +126,8 @@ class ExperimentConfig:
                 or not all(is_int(s) and s >= 0 for s in self.seeds):
             raise PermselError(
                 f"seeds must be a list of integers >= 0, got {self.seeds!r}")
+        if len(set(self.seeds)) < len(self.seeds):
+            raise PermselError(f"seeds must not repeat, got {self.seeds!r}")
         if not isinstance(self.k_values, (list, tuple)) \
                 or not all(is_int(k) and k >= 1 or k in ("N1", "N2")
                            for k in self.k_values):
@@ -143,17 +143,17 @@ class ExperimentConfig:
         if not self.datasets or not self.methods or not self.seeds:
             raise PermselError("need at least one dataset, method, and seed")
         for i, d in enumerate(self.datasets):
-            if d.synthetic is not None:
-                d.synthetic.validate(f"datasets[{i}].synthetic.")
+            d.validate(f"datasets[{i}].")
+            if d.name in (e.name for e in self.datasets[:i]):
+                # rows and trace files are keyed by dataset name
+                raise PermselError(f"dataset name {d.name!r} given more than once")
         self.learner.validate("learner.")
-        kinds = set()
         for i, m in enumerate(self.methods):
             m.validate(f"methods[{i}].")
-            if m.kind in kinds:
+            if m.kind in (e.kind for e in self.methods[:i]):
                 # rows, trace files and summary entries are keyed by kind
                 raise PermselError(f"method kind {m.kind!r} given more than once")
-            kinds.add(m.kind)
-        if "infogain" in kinds:
+        if "infogain" in (m.kind for m in self.methods):
             for d in self.datasets:
                 if d.task is Task.REGRESSION:
                     raise PermselError(f"infogain needs classification data; "
@@ -186,9 +186,11 @@ class ReportRow:
         return [_fmt(getattr(self, c)) for c in REPORT_COLUMNS]
 
 
+REPORT_COLUMNS = [f.name for f in fields(ReportRow)]
+
+
 @dataclass
 class SelectionResult:
-    kind: str
     runtime_seconds: float
     features: np.ndarray | None = None        # subset methods
     scores: FeatureScores | None = None       # ranking methods
@@ -202,29 +204,25 @@ def run_selection(dataset: Dataset, partition: Partition, method: MethodSpec,
     Only train/validation rows are read; the test rows stay untouched.
     """
     p = method.params
+    if method.kind == ALL_FEATURES:
+        return SelectionResult(0.0, features=np.arange(dataset.n_features))
     seeded_learner = replace(learner_spec, seed=seed)
+    features = scores = trace = None
     t0 = time.perf_counter()
     if method.kind in SUBSET_METHODS:
         cfg = _from_entries(MoeaConfig, p, seed=seed, variant=method.variant)
         trace = evolve(dataset, partition, seeded_learner, cfg)
-        return SelectionResult(method.kind, time.perf_counter() - t0,
-                               features=trace.selected_features(), trace=trace)
-    if method.kind in ("pfi-v1", "pfi-v2"):
+        features = trace.selected_features()
+    elif method.kind in ("pfi-v1", "pfi-v2"):
         ctx = build_context(dataset, partition, method.variant, seeded_learner)
-        scores = pfi_rank(ctx, repeats=p.get("repeats", 5),
-                          rng=np.random.default_rng([seed, 3]))
-        return SelectionResult(method.kind, time.perf_counter() - t0, scores=scores)
-    if method.kind == "corr":
+        scores = pfi_rank(ctx, rng=np.random.default_rng([seed, 3]), **p)
+    elif method.kind == "corr":
         scores = correlation_rank(dataset.rows(partition.train_val_idx))
-        return SelectionResult(method.kind, time.perf_counter() - t0, scores=scores)
-    if method.kind == "infogain":
-        scores = infogain_rank(dataset.rows(partition.train_val_idx),
-                               bins=p.get("bins", 10))
-        return SelectionResult(method.kind, time.perf_counter() - t0, scores=scores)
-    if method.kind == ALL_FEATURES:
-        return SelectionResult(method.kind, 0.0,
-                               features=np.arange(dataset.n_features))
-    raise PermselError(f"unknown method kind {method.kind!r}")
+    elif method.kind == "infogain":
+        scores = infogain_rank(dataset.rows(partition.train_val_idx), **p)
+    else:
+        raise PermselError(f"unknown method kind {method.kind!r}")
+    return SelectionResult(time.perf_counter() - t0, features, scores, trace)
 
 
 def evaluate_subset(dataset: Dataset, partition: Partition, features,
@@ -236,8 +234,8 @@ def evaluate_subset(dataset: Dataset, partition: Partition, features,
     if features.size == 0:
         raise PermselError("cannot evaluate an empty feature set")
     seeded = replace(learner_spec, seed=seed)
-    fit_rows = dataset.rows(partition.train_val_idx).select_features(features)
-    test_rows = dataset.rows(partition.test_idx).select_features(features)
+    fit_rows = dataset.rows(partition.train_val_idx, features)
+    test_rows = dataset.rows(partition.test_idx, features)
     model = learner_mod.fit(seeded, fit_rows)
     pred_train = model.predict(fit_rows.X)
     pred_test = model.predict(test_rows.X)
@@ -434,8 +432,6 @@ def aggregate(rows: list[ReportRow]) -> dict:
             vals = [getattr(r, col) for r in sub if getattr(r, col) is not None]
             rec[f"mean_{col}"] = float(np.mean(vals)) if vals else None
         tables["means"].append(rec)
-        if task not in _OVERFIT_SPECS:
-            continue
         over = {"task": task, "entry": rec["entry"],
                 "mean_selected": rec["mean_selected_count"]}
         for stem, kind in _OVERFIT_SPECS[task]:
@@ -465,9 +461,10 @@ def aggregate(rows: list[ReportRow]) -> dict:
                     va = tuple(float(np.mean(per_entry[la][d])) for d in shared)
                     vb = tuple(float(np.mean(per_entry[lb][d])) for d in shared)
                     samples.append(PairedSample(la, lb, metric, va, vb))
-            if len(labels) >= 2 and samples:
-                tables["rankings"][col] = win_loss_ranking(samples)
-                tables["pairwise"][col] = [compare_pair(s) for s in samples]
+            if samples:
+                outcomes = [compare_pair(s) for s in samples]
+                tables["rankings"][col] = win_loss_ranking(outcomes)
+                tables["pairwise"][col] = outcomes
 
     # one runtime per (dataset, seed) cell, averaged in first-seen order
     runtimes: dict[tuple[str, str], dict[tuple[str, int], float]] = {}

@@ -131,14 +131,14 @@ class TestWinLossRanking:
             for b in names[i + 1:]:
                 samples.append(PairedSample(a, b, Metric.ACC,
                                             tuple(values[a]), tuple(values[b])))
-        rows = win_loss_ranking(samples, alpha=0.05)
+        rows = win_loss_ranking([compare_pair(s, 0.05) for s in samples])
         assert rows[0].method == "best"
         assert rows[-1].method == "worst"
         assert rows[0].net > 0
 
     def test_identical_methods_zero_rows(self):
         s = PairedSample("a", "b", Metric.ACC, (0.5, 0.5, 0.5), (0.5, 0.5, 0.5))
-        rows = win_loss_ranking([s])
+        rows = win_loss_ranking([compare_pair(s)])
         assert all(r.wins == 0 and r.losses == 0 for r in rows)
 
     def test_wins_balance_losses(self):
@@ -151,7 +151,7 @@ class TestWinLossRanking:
             for b in names[i + 1:]:
                 samples.append(PairedSample(a, b, Metric.R2,
                                             tuple(data[a]), tuple(data[b])))
-        rows = win_loss_ranking(samples)
+        rows = win_loss_ranking([compare_pair(s) for s in samples])
         assert sum(r.wins for r in rows) == sum(r.losses for r in rows)
 
     def test_planted_ordering_matches_pairwise_oracle(self):
@@ -164,7 +164,7 @@ class TestWinLossRanking:
         vals = {m: tuple(base + shifts[m] + noise[m]) for m in names}
         samples = [PairedSample(a, b, Metric.ACC, vals[a], vals[b])
                    for i, a in enumerate(names) for b in names[i + 1:]]
-        rows = win_loss_ranking(samples, alpha=0.05)
+        rows = win_loss_ranking([compare_pair(s, 0.05) for s in samples])
         wins = {m: 0 for m in names}
         losses = {m: 0 for m in names}
         for s in samples:

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from permsel import cli
 from permsel.cli import main
 from permsel.dataset import Task, load_csv
 
@@ -87,6 +88,30 @@ class TestRunAndReport:
         assert rc == 0
         assert (out_dir / "summary" / "means.csv").exists()
 
+    def test_workers_and_out_flags_override_config(self, tmp_path, monkeypatch):
+        data = _synth_csv(tmp_path)
+        cfg = {
+            "datasets": [{"name": "syn", "task": "reg", "path": str(data)}],
+            "methods": [{"kind": "corr"}],
+            "seeds": [0, 1],
+            "learner": {"n_trees": 3},
+            "workers": 1,
+            "output_dir": str(tmp_path / "from_config"),
+        }
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        seen = []
+        real_run = cli.run_experiment
+        monkeypatch.setattr(cli, "run_experiment",
+                            lambda c: seen.append(c) or real_run(c))
+        out_dir = tmp_path / "from_flag"
+        rc = main(["run", "--config", str(cfg_path), "--workers", "2",
+                   "--out", str(out_dir)])
+        assert rc == 0
+        assert (seen[0].workers, seen[0].output_dir) == (2, str(out_dir))
+        assert (out_dir / "reports" / "report.csv").exists()
+        assert not (tmp_path / "from_config").exists()
+
 
 class TestErrors:
     def test_config_error_is_one_line(self, tmp_path, capsys):
@@ -128,3 +153,35 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.splitlines() == [f"permsel: error: {message}"]
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("fault", ["latin1", "long_cell", "missing"])
+    @pytest.mark.parametrize("command", ["rank", "select", "run"])
+    def test_file_fault_is_one_line(self, tmp_path, capsys, command, fault):
+        data = tmp_path / "data.csv"
+        if fault == "latin1":
+            data.write_bytes(b"a,b,target\n1,2,3\n1,2,caf\xe9\n")
+        elif fault == "long_cell":
+            data.write_text("a,b,target\n1," + "9" * 131073 + ",3\n")
+        if command == "run":
+            cfg_path = tmp_path / "cfg.json"
+            cfg_path.write_text(json.dumps({
+                "datasets": [{"name": "d", "task": "reg", "path": str(data)}],
+                "methods": [{"kind": "corr"}]}))
+            argv = ["run", "--config", str(cfg_path)]
+        elif command == "rank":
+            argv = ["rank", "--method", "corr", "--data", str(data), "--task", "reg"]
+        else:
+            argv = ["select", "--variant", "v1", "--data", str(data), "--task", "reg"]
+        rc = main(argv)
+        assert rc == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("permsel: error: ") and str(data) in lines[0]
+
+    @pytest.mark.parametrize("spec", ["10,5,x,0.1", "10,5,2"])
+    def test_bad_synth_spec_is_one_line(self, tmp_path, capsys, spec):
+        rc = main(["synth", "--spec", spec, "--out", str(tmp_path / "s.csv")])
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"permsel: error: --spec expects n,features,informative,noise, got {spec!r}"]
+        assert not (tmp_path / "s.csv").exists()

@@ -343,3 +343,12 @@ class TestAccessLog:
         ds.row_access_log = set()
         ds.rows(np.array([0, 3, 5]))
         assert ds.row_access_log == {0, 3, 5}
+
+    def test_rows_with_features_is_one_gather(self, small_regression):
+        ds = small_regression
+        ds.row_access_log = set()
+        view = ds.rows(np.array([5, 0, 3]), np.array([1, 4]))
+        assert ds.row_access_log == {0, 3, 5}
+        assert np.array_equal(view.X, ds.X[[5, 0, 3]][:, [1, 4]])
+        assert view.X.flags["C_CONTIGUOUS"] and view.X.base is None
+        assert np.array_equal(view.y, ds.y[[5, 0, 3]])

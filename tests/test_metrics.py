@@ -4,7 +4,6 @@ import pytest
 from permsel.errors import MetricError, ZeroRangeError
 from permsel.metrics import (
     Metric,
-    MetricValue,
     Orientation,
     accuracy,
     balanced_accuracy,
@@ -130,10 +129,6 @@ class TestOrientationAndDispatch:
         assert Metric.R2.orientation is Orientation.HIGHER_BETTER
         assert Metric.RMSE.orientation is Orientation.LOWER_BETTER
         assert Metric.NRMSE.orientation is Orientation.LOWER_BETTER
-
-    def test_metric_value_carries_orientation(self):
-        mv = MetricValue(Metric.RMSE, 1.5)
-        assert mv.orientation is Orientation.LOWER_BETTER
 
     def test_score_dispatch(self):
         assert score(Metric.ACC, [1, 1], [1, 0]) == 0.5

@@ -21,7 +21,7 @@ from permsel.moea import (
     initialize,
     select_final,
 )
-from permsel.permutation import EvalContext
+from permsel.permutation import EvalContext, build_context
 
 from conftest import StubModel
 from oracles import (
@@ -285,7 +285,6 @@ class TestEvolve:
         cfg = MoeaConfig(population_size=8, generations=0, seed=0)
         trace = evolve(ds, part, learner, cfg)
         assert len(trace.hypervolume) == 1
-        assert len(trace.best_merit_history) == 1
 
     def test_final_front_mutually_nondominated(self, run_args):
         ds, part, learner = run_args
@@ -307,11 +306,25 @@ class TestEvolve:
         assert t1.best.objectives == t2.best.objectives
 
     def test_elitism_best_merit_never_degrades(self, run_args):
+        # generation g does not depend on how many generations follow it,
+        # so runs of 0..12 generations trace one search step by step
         ds, part, learner = run_args
-        cfg = MoeaConfig(population_size=8, generations=12, seed=3)
-        trace = evolve(ds, part, learner, cfg)
-        hist = trace.best_merit_history
+        ctx = build_context(ds, part, "v1", learner)
+        hist = [evolve_on_context(ctx, MoeaConfig(population_size=8, generations=g,
+                                                  seed=3)).best.merit
+                for g in range(13)]
         assert all(b >= a - 1e-12 for a, b in zip(hist, hist[1:]))
+
+    def test_without_crossover_children_copy_their_parents(self, run_args):
+        # with no crossover and no mutation every child is a copy of a
+        # parent, so no chromosome outside the initial population appears
+        ds, part, learner = run_args
+        cfg = MoeaConfig(population_size=8, generations=4, seed=7,
+                         crossover_prob=0.0, mutation_prob=0.0)
+        trace = evolve(ds, part, learner, cfg)
+        initial = initialize(ds.n_features, cfg, np.random.default_rng([cfg.seed, 0]))
+        assert {ind.bits.tobytes() for ind in trace.front} \
+            <= {bits.tobytes() for bits in initial}
 
     def test_hypervolume_entries_nonnegative(self, run_args):
         ds, part, learner = run_args
@@ -337,7 +350,7 @@ class TestEvolve:
         part = split(small_regression, seed=0)
         cfg = MoeaConfig(population_size=8, generations=2, seed=6, variant="v2")
         trace = evolve(small_regression, part, tiny_learner, cfg)
-        assert trace.variant == "v2"
+        assert trace.config.variant == "v2"
 
     def test_config_validation(self):
         with pytest.raises(PermselError):

@@ -23,14 +23,16 @@ from permsel.runner import (
     run_experiment,
     run_selection,
     write_report_csv,
+    write_summary,
 )
 
 MOEA_PARAMS = {"population_size": 8, "generations": 3, "init_prob": 0.5}
+SYN = DatasetSpec("syn", Task.REGRESSION,
+                  synthetic=SyntheticSpec(60, 6, 2, 0.1, seed=5))
 
 
 def _mini_config(tmp_path, seeds=(0, 1), methods=None, workers=1, out=None):
-    datasets = [DatasetSpec("syn", Task.REGRESSION,
-                            synthetic=SyntheticSpec(60, 6, 2, 0.1, seed=5))]
+    datasets = [SYN]
     if methods is None:
         methods = [
             MethodSpec("subset-v1", dict(MOEA_PARAMS)),
@@ -339,6 +341,38 @@ class TestConfigFailsFast:
         with pytest.raises(PermselError, match=re.escape(message)):
             load_config(path)
 
+    @pytest.mark.parametrize("changes, message", [
+        ({"datasets": [SYN, DatasetSpec("d", Task.REGRESSION, path="d.csv",
+                                        synthetic=SYN.synthetic)]},
+         "datasets[1].path and datasets[1].synthetic: give exactly one"),
+        ({"datasets": [SYN, DatasetSpec("d", Task.REGRESSION)]},
+         "datasets[1].path and datasets[1].synthetic: give exactly one"),
+        ({"datasets": [DatasetSpec("d", Task.CLASSIFICATION,
+                                   synthetic=SYN.synthetic)]},
+         "datasets[0].task must be regression for synthetic data"),
+        ({"datasets": [SYN, dataclasses.replace(SYN, synthetic=None,
+                                                path="other.csv")]},
+         "dataset name 'syn' given more than once"),
+        ({"seeds": [0, 1, 0]}, "seeds must not repeat, got [0, 1, 0]"),
+    ])
+    def test_dataset_entries_and_seeds_checked(self, tmp_path, loads, changes,
+                                               message):
+        cfg = dataclasses.replace(_mini_config(tmp_path), **changes)
+        with pytest.raises(PermselError, match=re.escape(message)):
+            run_experiment(cfg)
+        assert loads == []
+
+    def test_rank_checks_method_before_loading(self, tmp_path, monkeypatch, capsys):
+        from permsel import cli
+        loaded = []
+        monkeypatch.setattr(cli, "load_csv", lambda *a, **k: loaded.append(a))
+        rc = cli.main(["rank", "--method", "infogain", "--bins", "1",
+                       "--data", str(tmp_path / "d.csv"), "--task", "cls"])
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "permsel: error: --bins must be an integer >= 2"]
+        assert loaded == []
+
     def test_valid_config_loads_datasets(self, tmp_path, loads):
         run_experiment(_mini_config(tmp_path, seeds=(0,),
                                     methods=[MethodSpec("corr")]))
@@ -415,6 +449,23 @@ class TestEvaluateSubset:
         means = aggregate(rows)["means"]
         assert all(m["mean_r2_test"] is None for m in means)
 
+    def test_one_row_test_split_gives_no_r2(self, tmp_path):
+        # 5 rows split 3/1/1; R2 of the single test value is undefined
+        rng = np.random.default_rng(0)
+        ds = Dataset(rng.standard_normal((5, 3)), rng.standard_normal(5),
+                     Task.REGRESSION, ["a", "b", "c"])
+        path = tmp_path / "five.csv"
+        write_csv(ds, path)
+        cfg = ExperimentConfig(
+            datasets=[DatasetSpec("five", Task.REGRESSION, path=str(path))],
+            methods=[MethodSpec("pfi-v1", {"repeats": 2}),
+                     MethodSpec("corr"), MethodSpec("all")],
+            seeds=[0], k_values=[2], learner=LearnerSpec(n_trees=3))
+        rows = run_experiment(cfg)
+        assert len(rows) == 3 and all(r.status == "ok" for r in rows)
+        assert all(r.r2_test is None and r.rmse_test is not None
+                   and r.r2_train is not None for r in rows)
+
 
 class TestReportCsv:
     def test_round_trip(self, tmp_path, mini_rows):
@@ -447,7 +498,8 @@ class TestAggregate:
         for ranking in tables["rankings"].values():
             assert all(r.net == 0 for r in ranking)
 
-    def test_planted_winner_ranks_first(self):
+    @staticmethod
+    def _planted_rows():
         rng = np.random.default_rng(0)
         rows = []
         for ds_i in range(10):
@@ -458,10 +510,21 @@ class TestAggregate:
             rows.append(ReportRow(f"d{ds_i}", "regression", "bad", "subset", 0, 3,
                                   r2_test=base, nrmse_test=0.4,
                                   r2_train=base + 0.05, nrmse_train=0.35))
-        tables = aggregate(rows)
+        return rows
+
+    def test_planted_winner_ranks_first(self):
+        tables = aggregate(self._planted_rows())
         ranking = tables["rankings"]["r2_test"]
         assert ranking[0].method == "good"
         assert ranking[0].wins == 1
+
+    def test_significant_pair_displays_p_value_alone(self, tmp_path):
+        write_summary(tmp_path, aggregate(self._planted_rows()))
+        with open(tmp_path / "pairwise_r2_test.csv", newline="") as fh:
+            (rec,) = list(csv.DictReader(fh))
+        assert rec["significant"] == "True"
+        assert rec["p_value"] == repr(2 / 2 ** 10)  # 10 of 10 datasets favour one side
+        assert rec["display"] == rec["p_value"]
 
     def test_overfitting_table_rows(self, mini_rows):
         tables = aggregate(mini_rows)
