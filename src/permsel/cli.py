@@ -26,6 +26,7 @@ from .errors import PermselError
 from .learner import LearnerSpec
 from .moea import MoeaConfig, evolve
 from .runner import (
+    RANKING_METHODS,
     MethodSpec,
     aggregate,
     load_config,
@@ -70,19 +71,21 @@ def cmd_synth(args) -> int:
 
 def cmd_rank(args) -> int:
     task = parse_task(args.task)
-    params = {"pfi-v1": {"repeats": args.repeats}, "pfi-v2": {"repeats": args.repeats},
-              "infogain": {"bins": args.bins}}.get(args.method, {})
+    params = {"repeats": args.repeats, "bins": args.bins}
     method = MethodSpec(args.method, {k: v for k, v in params.items() if v is not None})
     method.validate("--")
+    learner = LearnerSpec(n_trees=args.trees, seed=args.seed)  # the seed it fits with
+    learner.validate()
+    if args.k is not None and args.k < 1:
+        raise PermselError(f"--k must be an integer >= 1, got {args.k}")
     ds = load_csv(args.data, task, target_col=args.target_col)
     part = split(ds, args.seed, stratified=task is Task.CLASSIFICATION)
-    learner = LearnerSpec(n_trees=args.trees)
     sel = run_selection(ds, part, method, args.seed, learner)
     order = sel.scores.ranking
     lines = ["feature,name,score"]
     limit = args.k if args.k is not None else len(order)
     for i in order[:limit]:
-        lines.append(f"{i},{ds.feature_names[i]},{sel.scores.scores[i]!r}")
+        lines.append(f"{i},{ds.feature_names[i]},{float(sel.scores.scores[i])!r}")
     text = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -94,12 +97,14 @@ def cmd_rank(args) -> int:
 
 def cmd_select(args) -> int:
     task = parse_task(args.task)
-    ds = load_csv(args.data, task, target_col=args.target_col)
-    part = split(ds, args.seed, stratified=task is Task.CLASSIFICATION)
     cfg = MoeaConfig(population_size=args.pop, generations=args.gens,
                      crossover_prob=args.crossover, mutation_prob=args.mutation,
                      seed=args.seed, variant=args.variant)
+    cfg.validate()
     learner = LearnerSpec(n_trees=args.trees)
+    learner.validate()
+    ds = load_csv(args.data, task, target_col=args.target_col)
+    part = split(ds, args.seed, stratified=task is Task.CLASSIFICATION)
     trace = evolve(ds, part, learner, cfg)
     selected = trace.selected_features()
     print(f"selected {selected.size} of {ds.n_features} features "
@@ -139,8 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("rank", help="rank features with one method")
-    p.add_argument("--method", required=True,
-                   choices=["pfi-v1", "pfi-v2", "corr", "infogain"])
+    p.add_argument("--method", required=True, choices=RANKING_METHODS)
     p.add_argument("--data", required=True)
     p.add_argument("--task", required=True, choices=["cls", "reg"])
     p.add_argument("--seed", type=int, default=0)

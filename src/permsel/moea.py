@@ -29,21 +29,25 @@ class MoeaConfig:
     variant: str = "v1"
     init_prob: float | None = None  # None: min(0.5, 100 / n_features)
 
-    def validate(self):
+    def validate(self, where: str = ""):
+        """Raise for a value of the wrong type or range; ``where`` prefixes
+        the key names in the message ("methods[0]." in a config)."""
         size = self.population_size
         if not is_int(size) or size < 4 or size % 2 != 0:
-            raise PermselError("population_size must be even and >= 4")
+            raise PermselError(f"{where}population_size must be even and >= 4")
         for name in ("crossover_prob", "mutation_prob"):
             prob = getattr(self, name)
             if not (is_number(prob) and 0.0 <= prob <= 1.0):
-                raise PermselError(f"{name} must be in [0, 1]")
+                raise PermselError(f"{where}{name} must be in [0, 1]")
         if not is_int(self.generations) or self.generations < 0:
-            raise PermselError("generations must be a nonnegative integer")
+            raise PermselError(f"{where}generations must be a nonnegative integer")
+        if not is_int(self.seed) or self.seed < 0:
+            raise PermselError(f"{where}seed must be an integer >= 0, got {self.seed!r}")
         if self.variant not in ("v1", "v2"):
-            raise PermselError("variant must be 'v1' or 'v2'")
+            raise PermselError(f"{where}variant must be 'v1' or 'v2'")
         p = self.init_prob
         if p is not None and not (is_number(p) and 0.0 <= p <= 1.0):
-            raise PermselError("init_prob must be null or in [0, 1]")
+            raise PermselError(f"{where}init_prob must be null or in [0, 1]")
 
 
 class Individual:

@@ -26,6 +26,7 @@ from dataclasses import MISSING, dataclass, field, fields, replace
 import numpy as np
 
 from . import learner as learner_mod
+from . import moea
 from .analysis import (
     OverfitKind,
     PairedSample,
@@ -46,13 +47,21 @@ from .dataset import (
 from .errors import PermselError, ZeroVarianceError, is_int
 from .learner import LearnerSpec
 from .metrics import Metric, accuracy, balanced_accuracy, nrmse, r_squared, rmse
-from .moea import MoeaConfig, RunTrace, evolve
-from .permutation import FeatureScores, build_context, pfi_rank, select_top_k
+from .moea import MoeaConfig, RunTrace
+from .moea import evolve  # noqa: F401 (unused; perfbench wraps runner.evolve)
+from .permutation import (
+    EvalContext,
+    FeatureScores,
+    build_context,
+    pfi_rank,
+    select_top_k,
+)
 
 log = logging.getLogger("permsel")
 
 SUBSET_METHODS = ("subset-v1", "subset-v2")
-RANKING_METHODS = ("pfi-v1", "pfi-v2", "corr", "infogain")
+PFI_METHODS = ("pfi-v1", "pfi-v2")
+RANKING_METHODS = PFI_METHODS + ("corr", "infogain")
 ALL_FEATURES = "all"
 
 
@@ -94,7 +103,7 @@ class MethodSpec:
                      "infogain": {"bins"}}.get(self.kind, set())
         _check_keys(self.params, names, (), where)
         if self.kind in SUBSET_METHODS:
-            _from_entries(MoeaConfig, self.params, variant=self.variant).validate()
+            _from_entries(MoeaConfig, self.params, variant=self.variant).validate(where)
         for name, low in (("repeats", 1), ("bins", 2)):
             value = self.params.get(name, low)
             if not is_int(value) or value < low:
@@ -198,23 +207,43 @@ class SelectionResult:
 
 
 def run_selection(dataset: Dataset, partition: Partition, method: MethodSpec,
-                  seed: int, learner_spec: LearnerSpec) -> SelectionResult:
+                  seed: int, learner_spec: LearnerSpec,
+                  contexts: dict[str, tuple[EvalContext, float]] | None = None
+                  ) -> SelectionResult:
     """Execute one selection method for one (dataset, seed) cell.
 
     Only train/validation rows are read; the test rows stay untouched.
+    The subset and PFI kinds score against the forest of their variant,
+    taken from ``contexts`` (variant -> context and the seconds its fit
+    took, filled here when missing) so that the methods of one cell fit
+    it once; a map must not outlive its cell. The fit seconds count in
+    the runtime of every method that uses the context.
     """
     p = method.params
     if method.kind == ALL_FEATURES:
         return SelectionResult(0.0, features=np.arange(dataset.n_features))
-    seeded_learner = replace(learner_spec, seed=seed)
+    if method.kind in SUBSET_METHODS:
+        cfg = _from_entries(MoeaConfig, p, seed=seed, variant=method.variant)
+        cfg.validate()  # before the fit
+    fit_s = 0.0
+    if method.kind in SUBSET_METHODS + PFI_METHODS:
+        contexts = {} if contexts is None else contexts
+        if method.variant not in contexts:
+            t0 = time.perf_counter()
+            ctx = build_context(dataset, partition, method.variant,
+                                replace(learner_spec, seed=seed))
+            contexts[method.variant] = (ctx, time.perf_counter() - t0)
+        ctx, fit_s = contexts[method.variant]
     features = scores = trace = None
     t0 = time.perf_counter()
     if method.kind in SUBSET_METHODS:
-        cfg = _from_entries(MoeaConfig, p, seed=seed, variant=method.variant)
-        trace = evolve(dataset, partition, seeded_learner, cfg)
+        trace = moea.evolve_on_context(ctx, cfg)
         features = trace.selected_features()
-    elif method.kind in ("pfi-v1", "pfi-v2"):
-        ctx = build_context(dataset, partition, method.variant, seeded_learner)
+        if features.size == 0:  # every merit was 0, so the empty set won
+            n = ctx.eval_rows.n_rows
+            raise PermselError(f"{method.kind} found no subset with nonzero merit "
+                               f"on {n} evaluation row{'' if n == 1 else 's'}")
+    elif method.kind in PFI_METHODS:
         scores = pfi_rank(ctx, rng=np.random.default_rng([seed, 3]), **p)
     elif method.kind == "corr":
         scores = correlation_rank(dataset.rows(partition.train_val_idx))
@@ -222,7 +251,7 @@ def run_selection(dataset: Dataset, partition: Partition, method: MethodSpec,
         scores = infogain_rank(dataset.rows(partition.train_val_idx), **p)
     else:
         raise PermselError(f"unknown method kind {method.kind!r}")
-    return SelectionResult(time.perf_counter() - t0, features, scores, trace)
+    return SelectionResult(fit_s + time.perf_counter() - t0, features, scores, trace)
 
 
 def evaluate_subset(dataset: Dataset, partition: Partition, features,
@@ -286,9 +315,11 @@ def _cell_rows(dataset_spec: DatasetSpec, dataset: Dataset, seed: int,
     counts: dict[str, int] = {}   # subset kind -> selected feature count
     rows: list[ReportRow] = []
     traces: dict[tuple[str, str, int], RunTrace] = {}
+    contexts: dict[str, tuple[EvalContext, float]] = {}  # variant -> context
     for method in sorted(cfg.methods, key=lambda m: m.kind not in SUBSET_METHODS):
         try:
-            sel = run_selection(dataset, partition, method, seed, cfg.learner)
+            sel = run_selection(dataset, partition, method, seed, cfg.learner,
+                                contexts)
             picks: list[tuple[str, np.ndarray]] = []
             if sel.features is not None:
                 label = "all" if method.kind == ALL_FEATURES else "subset"

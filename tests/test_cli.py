@@ -1,10 +1,13 @@
+import csv
 import json
 
 import pytest
 
 from permsel import cli
 from permsel.cli import main
-from permsel.dataset import Task, load_csv
+from permsel.dataset import Task, load_csv, split
+from permsel.learner import LearnerSpec
+from permsel.runner import MethodSpec, run_selection
 
 
 def _synth_csv(tmp_path, name="data.csv"):
@@ -42,6 +45,20 @@ class TestRank:
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "feature,name,score"
         assert len(lines) == 3
+
+    @pytest.mark.parametrize("method", ["pfi-v2", "corr"])
+    def test_scores_parse_as_the_ranker_computed_them(self, tmp_path, method):
+        data = _synth_csv(tmp_path)
+        out = tmp_path / "rank.csv"
+        rc = main(["rank", "--method", method, "--data", str(data), "--task", "reg",
+                   "--trees", "3", "--seed", "2", "--out", str(out)])
+        assert rc == 0
+        ds = load_csv(data, Task.REGRESSION)
+        sel = run_selection(ds, split(ds, 2, stratified=False), MethodSpec(method),
+                            2, LearnerSpec(n_trees=3))
+        with open(out, newline="", encoding="utf-8") as fh:
+            written = {int(r["feature"]): float(r["score"]) for r in csv.DictReader(fh)}
+        assert written == dict(enumerate(sel.scores.scores.tolist()))
 
 
 class TestSelect:
@@ -127,7 +144,7 @@ class TestErrors:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.splitlines() == [
-            "permsel: error: population_size must be even and >= 4"]
+            "permsel: error: methods[0].population_size must be even and >= 4"]
         assert "Traceback" not in err
         assert not (tmp_path / "o").exists()
 
@@ -177,6 +194,32 @@ class TestErrors:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("permsel: error: ") and str(data) in lines[0]
+
+    @pytest.mark.parametrize("argv, message", [
+        (["select", "--variant", "v1", "--pop", "3"],
+         "population_size must be even and >= 4"),
+        (["select", "--variant", "v2", "--gens", "-1"],
+         "generations must be a nonnegative integer"),
+        (["select", "--variant", "v1", "--mutation", "1.5"],
+         "mutation_prob must be in [0, 1]"),
+        (["select", "--variant", "v1", "--trees", "0"],
+         "n_trees must be an integer >= 1, got 0"),
+        (["select", "--variant", "v1", "--seed", "-1"],
+         "seed must be an integer >= 0, got -1"),
+        (["rank", "--method", "pfi-v1", "--trees", "0"],
+         "n_trees must be an integer >= 1, got 0"),
+        (["rank", "--method", "corr", "--seed", "-1"],
+         "seed must be an integer >= 0, got -1"),
+        (["rank", "--method", "corr", "--k", "0"], "--k must be an integer >= 1, got 0"),
+        (["rank", "--method", "corr", "--repeats", "3"],
+         "unknown config key '--repeats'"),
+        (["rank", "--method", "pfi-v2", "--bins", "4"], "unknown config key '--bins'"),
+    ])
+    def test_flags_checked_before_the_csv_is_read(self, tmp_path, capsys, argv,
+                                                  message):
+        rc = main(argv + ["--data", str(tmp_path / "missing.csv"), "--task", "reg"])
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == [f"permsel: error: {message}"]
 
     @pytest.mark.parametrize("spec", ["10,5,x,0.1", "10,5,2"])
     def test_bad_synth_spec_is_one_line(self, tmp_path, capsys, spec):

@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from permsel import runner
+from permsel import moea, permutation, runner
 from permsel.dataset import Dataset, SyntheticSpec, Task, split, write_csv
 from permsel.errors import PermselError
 from permsel.learner import LearnerSpec
@@ -86,9 +86,9 @@ class TestRunExperiment:
                 assert n1[0].selected_count == min(subset_row.selected_count, 6)
 
     def test_failed_subset_method_skips_its_n1_rows(self, tmp_path, monkeypatch):
-        def broken_evolve(*args):
+        def broken_search(*args):
             raise RuntimeError("search failed")
-        monkeypatch.setattr(runner, "evolve", broken_evolve)
+        monkeypatch.setattr(moea, "evolve_on_context", broken_search)
         methods = [MethodSpec("corr"), MethodSpec("subset-v1", dict(MOEA_PARAMS))]
         rows = run_experiment(_mini_config(tmp_path, methods=methods))
         assert [r.status for r in rows if r.method == "subset-v1"] == ["error"] * 2
@@ -242,6 +242,13 @@ class TestConfigFailsFast:
         ("all", {"repeats": 1}, "methods[0].repeats"),
         ("subset-v1", {"seed": 3}, "methods[0].seed"),
         ("subset-v2", {"repeats": 3}, "methods[0].repeats"),
+        ("subset-v1", {"population_size": 3},
+         "methods[0].population_size must be even and >= 4"),
+        ("subset-v2", {"generations": "5"},
+         "methods[0].generations must be a nonnegative integer"),
+        ("subset-v2", {"mutation_prob": 2}, "methods[0].mutation_prob must be in [0, 1]"),
+        ("subset-v1", {"init_prob": -0.5},
+         "methods[0].init_prob must be null or in [0, 1]"),
     ])
     def test_method_params_checked_per_kind(self, tmp_path, loads,
                                             kind, params, message):
@@ -611,3 +618,78 @@ class TestRunSelection:
                                 learner_spec=LearnerSpec(n_trees=2))
             assert sel.trace.config == MoeaConfig(generations=1, seed=2,
                                                   variant=variant)
+
+    def test_empty_subset_names_its_cause(self, tmp_path):
+        # 6 rows split 4/1/1: shuffling one validation row changes nothing,
+        # so every v1 merit is 0; v2 scores on 5 rows and stays ok
+        rng = np.random.default_rng(0)
+        ds = Dataset(rng.standard_normal((6, 3)), rng.standard_normal(6),
+                     Task.REGRESSION, ["a", "b", "c"])
+        path = tmp_path / "six.csv"
+        write_csv(ds, path)
+        cfg = ExperimentConfig(
+            datasets=[DatasetSpec("six", Task.REGRESSION, path=str(path))],
+            methods=[MethodSpec("subset-v1", dict(MOEA_PARAMS)),
+                     MethodSpec("subset-v2", dict(MOEA_PARAMS))],
+            seeds=[0, 1], k_values=[2], learner=LearnerSpec(n_trees=3))
+        rows = run_experiment(cfg)
+        assert [(r.method, r.status, r.error) for r in rows] == [
+            ("subset-v1", "error",
+             "subset-v1 found no subset with nonzero merit on 1 evaluation row")] * 2 \
+            + [("subset-v2", "ok", "")] * 2
+
+
+class TestSharedContext:
+    """The subset and PFI methods of one variant score against one forest
+    per cell, fitted once."""
+
+    PARAMS = {"subset-v1": MOEA_PARAMS, "subset-v2": MOEA_PARAMS,
+              "pfi-v1": {"repeats": 2}, "pfi-v2": {"repeats": 2}, "corr": {}}
+
+    @pytest.fixture
+    def clock(self, monkeypatch):
+        """A runner clock that moves only while a context is built, by
+        1000 s per build; returns the list of built variants' row counts."""
+        now = [0.0]
+        builds = []
+        real_init = permutation.EvalContext.__init__
+
+        def init(ctx, model, eval_rows, metric):
+            builds.append(eval_rows.n_rows)
+            now[0] += 1000.0
+            real_init(ctx, model, eval_rows, metric)
+
+        class Clock:
+            @staticmethod
+            def perf_counter():
+                return now[0]
+
+        monkeypatch.setattr(permutation.EvalContext, "__init__", init)
+        monkeypatch.setattr(runner, "time", Clock)
+        return builds
+
+    def _run(self, tmp_path, kinds, seeds=(0, 1)):
+        methods = [MethodSpec(k, dict(self.PARAMS[k])) for k in kinds]
+        cfg = dataclasses.replace(_mini_config(tmp_path, seeds=seeds, methods=methods),
+                                  k_values=[2, 4])
+        return run_experiment(cfg)
+
+    def test_one_context_per_variant_and_cell(self, tmp_path, clock):
+        rows = self._run(tmp_path, self.PARAMS)
+        # two cells of two variants: v1 scores on 12 validation rows, v2 on 48
+        assert clock == [12, 48] * 2
+        assert all(r.status == "ok" for r in rows)
+
+    def test_pfi_rows_do_not_depend_on_the_subset_methods(self, tmp_path):
+        def pfi(rows):
+            return [dataclasses.replace(r, runtime_seconds=None)
+                    for r in rows if r.method.startswith("pfi")]
+        shared = pfi(self._run(tmp_path, self.PARAMS))
+        alone = pfi(self._run(tmp_path, ("pfi-v1", "pfi-v2")))
+        assert len(alone) == 8 and shared == alone
+
+    def test_every_method_counts_the_shared_fit(self, tmp_path, clock):
+        rows = self._run(tmp_path, self.PARAMS, seeds=(0,))
+        runtime = {r.method: r.runtime_seconds for r in rows}
+        assert runtime == {"subset-v1": 1000.0, "subset-v2": 1000.0,
+                           "pfi-v1": 1000.0, "pfi-v2": 1000.0, "corr": 0.0}
