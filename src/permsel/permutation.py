@@ -100,8 +100,10 @@ def merit(ctx: EvalContext, chromosome, rng: np.random.Generator) -> float:
     """Absolute performance degradation when the selected columns are shuffled.
 
     Each selected column gets its own independent permutation, drawn in
-    ascending column order from ``rng``. An empty selection leaves the
-    rows untouched, so its merit is exactly zero.
+    ascending column order from ``rng`` by one ``permuted`` call over the
+    selected columns (the draws of a ``permutation`` per column). An
+    empty selection leaves the rows untouched, so its merit is exactly
+    zero.
     """
     bits = np.asarray(chromosome)
     if bits.shape != (ctx.n_features,):
@@ -110,9 +112,9 @@ def merit(ctx: EvalContext, chromosome, rng: np.random.Generator) -> float:
     selected = np.flatnonzero(bits)
     if selected.size == 0:
         return 0.0
-    Xp = ctx.eval_rows.X.copy()
-    for col in selected:
-        Xp[:, col] = rng.permutation(Xp[:, col])
+    X = ctx.eval_rows.X
+    Xp = X.copy()
+    Xp[:, selected] = rng.permuted(X[:, selected], axis=0)
     shuffled_perf = ctx._evaluate(Xp)
     return abs(ctx.baseline_perf - shuffled_perf)
 

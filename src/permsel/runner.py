@@ -255,17 +255,20 @@ def run_selection(dataset: Dataset, partition: Partition, method: MethodSpec,
 
 
 def evaluate_subset(dataset: Dataset, partition: Partition, features,
-                    learner_spec: LearnerSpec, seed: int) -> dict[str, float | None]:
+                    learner_spec: LearnerSpec, seed: int, *,
+                    model=None) -> dict[str, float | None]:
     """Retrain on train+validation restricted to the features; score both
     that set and the held-out test set. R2 is None on a set whose target
-    is constant, where it is undefined."""
+    is constant, where it is undefined. A ``model`` already fitted with
+    this learner and seed on exactly those rows and features is used
+    instead of the retrain."""
     features = np.asarray(sorted(features), dtype=np.int64)
     if features.size == 0:
         raise PermselError("cannot evaluate an empty feature set")
-    seeded = replace(learner_spec, seed=seed)
     fit_rows = dataset.rows(partition.train_val_idx, features)
     test_rows = dataset.rows(partition.test_idx, features)
-    model = learner_mod.fit(seeded, fit_rows)
+    if model is None:
+        model = learner_mod.fit(replace(learner_spec, seed=seed), fit_rows)
     pred_train = model.predict(fit_rows.X)
     pred_test = model.predict(test_rows.X)
     out: dict[str, float | None] = {}
@@ -337,10 +340,13 @@ def _cell_rows(dataset_spec: DatasetSpec, dataset: Dataset, seed: int,
                         k = k_value
                     k = _clamp_k(k, dataset.n_features, method.kind)
                     picks.append((str(k_value), select_top_k(sel.scores, k)))
+            # every feature on the train+validation rows: the v2 forest
+            model = contexts["v2"][0].model \
+                if method.kind == ALL_FEATURES and "v2" in contexts else None
             method_rows = []
             for label, features in picks:
                 metrics = evaluate_subset(dataset, partition, features,
-                                          cfg.learner, seed)
+                                          cfg.learner, seed, model=model)
                 method_rows.append(ReportRow(name, task, method.kind, label, seed,
                                              selected_count=int(features.size),
                                              runtime_seconds=sel.runtime_seconds,

@@ -15,6 +15,8 @@ in one table, traversed by every tree for every row at once.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 _LEAF = -1
@@ -105,90 +107,185 @@ def _leaf_value(y, classification: bool, class_count: int) -> float:
     return float(y.sum() / y.size)  # np.mean's sum and division
 
 
-def _best_splits(XT, target, nodes, classification, class_count):
-    """Best (feature, threshold) of each (rows, candidates) node, or None
-    where a node has no split, from one search over all of them.
+# Elements (nodes x candidates x padded width) that one search block may
+# hold; a classification block shares it among its class planes.
+_BUDGET = 1 << 14
 
-    ``XT`` is the feature-major matrix whose last column is a sentinel
-    row of +inf, and ``target`` gives that row the target 0 (regression)
-    or ``class_count``, which counts for no class. Shorter nodes are
-    padded with it to the longest one, so the values form one
-    (nodes, candidates, width) block sorted along its last axis; the
-    padding sorts last and no split is taken at or past a node's last
-    row. Every node's weighted child impurities are the per-node
-    search's, term for term: class counts are exact integers in any
-    order of tied values, and where tied values carry different
-    regression targets that feature row is re-sorted stably, so its
-    prefix sums add the targets in the same order. The winner is the
-    first minimum in (feature, position) order, the
-    lowest-feature-then-lowest-threshold tie rule.
+
+def _rank_table(X):
+    """Feature-major int32 dense ranks of the columns of X: equal values
+    share a rank and a larger value has a larger one. The last column is
+    a sentinel row that ranks above every value. The table is built a
+    block of features at a time, so its sort transients stay within the
+    search budget."""
+    n, w = X.shape
+    ranks = np.empty((w, n + 1), dtype=np.int32)
+    ranks[:, n] = n
+    step = max(1, _BUDGET // n)
+    for lo in range(0, w, step):
+        V = X[:, lo:lo + step].T
+        order = V.argsort(axis=1)
+        vs = np.take_along_axis(V, order, axis=1)
+        dense = np.zeros(vs.shape, dtype=np.int32)
+        np.not_equal(vs[:, 1:], vs[:, :-1], out=dense[:, 1:])
+        np.cumsum(dense, axis=1, out=dense)
+        np.put_along_axis(ranks[lo:lo + step, :n], order, dense, axis=1)
+    return ranks
+
+
+class _Search:
+    """What every split search of one fit reads: the rank table of X, X
+    itself (for thresholds), the targets with the sentinel row's (0 in
+    regression, ``class_count`` in classification, which counts for no
+    class), and scratch arrays that every search block reuses. Fresh
+    block-sized arrays would go back to the system after each block and
+    be faulted in again for the next."""
+
+    __slots__ = ("ranks", "X", "target", "classification", "class_count", "room",
+                 "_block", "_scratch")
+
+    def __init__(self, X, y, classification: bool, class_count: int):
+        self.ranks = _rank_table(X)
+        self.X = X
+        self.target = np.append(y, class_count if classification else 0)
+        self.classification = classification
+        self.class_count = class_count
+        # elements of one search block per class plane, and the most a
+        # block holds when a node of every row is searched a candidate at
+        # a time
+        self.room = _BUDGET // max(class_count, 1)
+        self._block = max(self.room, X.shape[0])
+        self._scratch = {}
+
+    def scratch(self, name, shape, dtype=float):
+        """The reused array ``name`` viewed as ``shape``, whose last three
+        axes are (nodes, candidates, width) and whose leading axes are
+        planes. It is allocated once for the largest block (untouched
+        pages cost no memory), so that it is not regrown block by block."""
+        size = math.prod(shape)
+        flat = self._scratch.get(name)
+        if flat is None or flat.size < size:
+            planes = size // math.prod(shape[-3:])
+            flat = self._scratch[name] = np.empty(max(size, planes * self._block), dtype)
+        return flat[:size].reshape(shape)
+
+
+def _best_splits(search, nodes):
+    """Best (feature, threshold) of each (rows, candidates) node, or None
+    where a node has no split.
+
+    Every node holds at least two rows and the same number of candidates.
+    The nodes are taken in order of row count and packed into search
+    blocks of at most ``_BUDGET`` elements. A node too wide for one block
+    is searched alone, in consecutive groups of its candidates; the best
+    split carries across the groups only when a later one is strictly
+    better, so the lowest feature still wins ties.
+    """
+    k = nodes[0][1].size
+    room = search.room
+    order = sorted(range(len(nodes)), key=lambda i: nodes[i][0].size)
+    found = [None] * len(nodes)
+    i = 0
+    while i < len(order):
+        # as many of the next nodes as fit, padded to the widest of them
+        j = i + 1
+        while j < len(order) and (j - i + 1) * k * nodes[order[j]][0].size <= room:
+            j += 1
+        block, i = order[i:j], j
+        rows, candidates = nodes[block[0]]
+        group = max(1, room // rows.size)
+        if len(block) > 1 or group >= k:
+            splits = _search_block(search, [nodes[b] for b in block])[1]
+            for b, split in zip(block, splits):
+                found[b] = split
+            continue
+        best = np.inf
+        for lo in range(0, k, group):
+            (value,), (split,) = _search_block(
+                search, [(rows, candidates[lo:lo + group])])
+            if value < best:
+                best, found[block[0]] = value, split
+    return found
+
+
+def _search_block(search, nodes):
+    """Lowest weighted child impurity of each node and its split (None
+    where there is none), from one search over all of them.
+
+    Shorter nodes are padded with the sentinel row to the longest one, so
+    the search is one (nodes, candidates, width) block. Each element's
+    sort key is ``rank << b | position``, the position counted across the
+    block: one integer sort orders every feature row by value, with tied
+    values in position order, as a stable sort would. The padding sorts
+    last, and no split is taken at or past a node's last row. Every
+    node's weighted child impurities are the per-node search's, term for
+    term: class counts are exact integers, and the regression prefix sums
+    add tied targets in position order. The winner is the first minimum
+    in (feature, position) order, the lowest-feature-then-lowest-threshold
+    tie rule. The threshold is the midpoint of the values in X of the
+    rows on either side of the split.
     """
     B = len(nodes)
-    stride = XT.shape[1]
+    ranks, q = search.ranks, search.class_count
+    stride = ranks.shape[1]
     sizes = np.array([rows.size for rows, _ in nodes])
     width = int(sizes.max())
     R = np.full((B, width), stride - 1)
     for i, (rows, _) in enumerate(nodes):
         R[i, :rows.size] = rows
     C = np.array([candidates for _, candidates in nodes])
-    m = sizes[:, None, None].astype(float)
-    last = None if sizes.min() == width else sizes[:, None, None] - 1
     k = C.shape[1]
-    V = XT.take(C[:, :, None] * stride + R[:, None, :])      # (B, k, width)
-    order = V.argsort(axis=-1)
-    vs = V.take(order + np.arange(0, B * k * width, width).reshape(B, k, 1))
-    targets = target.take(R)                                 # (B, width)
-    ys = targets.take(order + np.arange(0, B * width, width)[:, None, None])
-    # tie[i]: no split between flat sorted positions i and i + 1; the last
-    # position of each feature row compares with the next row, so it is
-    # cleared for the target check and then set
-    N = vs.size
-    tie = np.empty(N, dtype=bool)
-    np.equal(vs.reshape(-1)[1:], vs.reshape(-1)[:-1], out=tie[:-1])
-    tie[width - 1::width] = False
-    if not classification:
-        clash = np.empty(N, dtype=bool)
-        np.not_equal(ys.reshape(-1)[1:], ys.reshape(-1)[:-1], out=clash[:-1])
-        clash[-1] = False
-        clash &= tie
-        if clash.any():
-            bad = np.zeros(B * k, dtype=bool)
-            bad[np.flatnonzero(clash) // width] = True
-            bad = bad.reshape(B, k)
-            stable = V[bad].argsort(axis=-1, kind="stable")
-            ys[bad] = targets.take(stable + (np.nonzero(bad)[0] * width)[:, None])
-    tie[width - 1::width] = True
-    tie = tie.reshape(V.shape)
-    if last is not None:
-        tie |= np.arange(width) >= last
+    shape = (B, k, width)
+    m = sizes[:, None, None].astype(float)
+    # the take indices are in range, and mode="wrap" writes into out
+    # unbuffered; the ranks are gathered into the memory of pos, unused
+    # until the sort is done
+    keys = search.scratch("keys", shape, np.int64)
+    np.add(C[:, :, None] * stride, R[:, None, :], out=keys)
+    pos = search.scratch("pos", shape, np.int64)
+    ranked = ranks.take(keys, out=pos.reshape(-1).view(np.int32)[:keys.size]
+                        .reshape(shape), mode="wrap")
+    b = (B * width - 1).bit_length()
+    np.left_shift(ranked, b, out=keys, dtype=np.int64)
+    keys |= np.arange(B * width).reshape(B, 1, width)
+    keys.sort(axis=-1)
+    # the sorted positions in the flattened R, then the sorted ranks in place
+    np.bitwise_and(keys, (1 << b) - 1, out=pos)
+    keys >>= b
+    # tie: no split between sorted positions p and p + 1; the last position
+    # of a feature row compares with the next row, and is then set
+    tie = search.scratch("tie", shape, bool)
+    np.equal(keys.reshape(-1)[1:], keys.reshape(-1)[:-1], out=tie.reshape(-1)[:-1])
+    tie[..., -1] = True
+    if sizes.min() < width:
+        tie |= np.arange(width) >= m - 1
     # [left, right] row counts at each split position; the right count is
     # 0 only after a node's last row, where tie is set
-    counts = np.empty((2, np.size(m), 1, width))
+    counts = np.empty((2, B, 1, width))
     counts[0] = np.arange(1, width + 1)
     np.maximum(m - counts[0], 1.0, out=counts[1])
-    if classification:
+    targets = search.target.take(R)
+    if search.classification:
         # [left, right] sums of squared class counts, from one cumsum over
-        # the one-hot codes of as many classes as fit the size of one root
-        # search (rows x candidates); code class_count counts nothing
-        gini = np.zeros((2,) + V.shape)
-        group = max(1, (stride - 1) * k // V.size)
-        onehot = np.eye(class_count, class_count + 1)
-        for lo in range(0, class_count, group):
-            codes = onehot[lo:lo + group]
-            sides = np.empty((2, codes.shape[0]) + V.shape)
-            np.cumsum(codes.take(ys, axis=1), axis=-1, out=sides[0])
-            np.subtract(sides[0, ..., -1:], sides[0], out=sides[1])
-            sides *= sides
-            gini += sides.sum(axis=1)
+        # the one-hot codes; code q counts nothing
+        ys = targets.take(pos, out=keys, mode="wrap")   # over the spent ranks
+        sides = search.scratch("sides", (2, q) + shape)
+        np.eye(q, q + 1).take(ys, axis=1, out=sides[1], mode="wrap")
+        np.cumsum(sides[1], axis=-1, out=sides[0])
+        np.subtract(sides[0, ..., -1:], sides[0], out=sides[1])
+        sides *= sides
+        gini = sides.sum(axis=1, out=search.scratch("gini", (2,) + shape))
         gini /= counts * counts
         np.subtract(1.0, gini, out=gini)
         gini *= counts
         weighted = np.add(gini[0], gini[1], out=gini[0])
     else:
-        sums = np.empty((2,) + V.shape)          # [left, right] target sums
+        sums = search.scratch("sums", (2,) + shape)     # [left, right] target sums
+        sums2 = search.scratch("sums2", (2,) + shape)   # and sums of squares
+        # ys lives in sums2[1] until the right sums of squares replace it
+        ys = targets.take(pos, out=sums2[1], mode="wrap")
         np.cumsum(ys, axis=-1, out=sums[0])
         np.subtract(sums[0, ..., -1:], sums[0], out=sums[1])
-        sums2 = np.empty_like(sums)              # and sums of squares
         np.cumsum(np.multiply(ys, ys, out=ys), axis=-1, out=sums2[0])
         np.subtract(sums2[0, ..., -1:], sums2[0], out=sums2[1])
         # count * max(sum2 / count - (sum / count) ** 2, 0)
@@ -200,15 +297,17 @@ def _best_splits(XT, target, nodes, classification, class_count):
         np.multiply(sums2, counts, out=sums2)
         weighted = np.add(sums2[0], sums2[1], out=sums2[0])
     weighted /= m
-    np.copyto(weighted, np.inf, where=tie)
+    np.putmask(weighted, tie, np.inf)
     best = weighted.reshape(B, -1).argmin(axis=1)
     flat = best + np.arange(0, B * k * width, k * width)
-    found = weighted.reshape(-1)[flat] < np.inf
-    vs = vs.reshape(-1)
-    threshold = 0.5 * (vs[flat] + vs[flat + 1])
+    value = weighted.reshape(-1)[flat]
     feature = C.reshape(-1)[best // width + np.arange(0, B * k, k)]
-    return [(int(feature[i]), float(threshold[i])) if found[i] else None
-            for i in range(B)]
+    # the rows on either side of each winning split
+    rows = R.reshape(-1).take(pos.reshape(-1).take(flat[:, None] + (0, 1)))
+    v = search.X[rows, feature[:, None]]
+    threshold = 0.5 * np.add(v[:, 0], v[:, 1])
+    return value, [(int(feature[i]), float(threshold[i])) if value[i] < np.inf
+                   else None for i in range(B)]
 
 
 class _Growth:
@@ -258,19 +357,17 @@ def grow_forest(X, y, samples, rngs, *, classification: bool, class_count: int,
     own stream, so it is the tree a one-at-a-time growth would give. A
     step pops the next node of every tree that needs a split search
     (settling the leaves on the way), and searches all of those nodes
-    together, batched by row count rounded up to a power of two. A batch
-    holds at most as many rows as X, the size of one root search.
+    in one ``_best_splits`` call. The searches read the rank table of X,
+    built once here; X itself is read only at the rows that place a
+    threshold and when a node is split.
     """
-    n, w = X.shape
+    w = X.shape[1]
     depth_limit = np.inf if max_depth is None else max_depth
-    XT = np.empty((w, n + 1))
-    XT[:, :n] = X.T
-    XT[:, n] = np.inf
-    target = np.append(y, class_count if classification else 0)
+    search = _Search(X, y, classification, class_count)
     growths = [_Growth(rng, rows) for rng, rows in zip(rngs, samples)]
     live = growths
     while live:
-        buckets: dict[int, list] = {}
+        items = []
         for g in live:
             while g.stack:
                 node, rows, depth = g.stack.pop()
@@ -285,27 +382,23 @@ def grow_forest(X, y, samples, rngs, *, classification: bool, class_count: int,
                                                       replace=False))
                 else:
                     candidates = np.arange(w)
-                buckets.setdefault((rows.size - 1).bit_length(), []).append(
-                    (g, node, rows, depth, y_node, candidates))
+                items.append((g, node, rows, depth, y_node, candidates))
                 break
-        for bucket, items in buckets.items():
-            per_call = max(1, n >> bucket)
-            for i in range(0, len(items), per_call):
-                chunk = items[i:i + per_call]
-                found = _best_splits(XT, target, [(it[2], it[5]) for it in chunk],
-                                     classification, class_count)
-                for (g, node, rows, depth, y_node, _), best in zip(chunk, found):
-                    if best is None:
-                        g.value[node] = _leaf_value(y_node, classification,
-                                                    class_count)
-                        continue
-                    f, thr = best
-                    mask = XT[f].take(rows) <= thr
-                    left = g.split(node, f, thr)
-                    # push right first so the left subtree is grown first
-                    g.stack.append((left + 1, rows[~mask], depth + 1))
-                    g.stack.append((left, rows[mask], depth + 1))
+        if not items:
+            break
+        found = _best_splits(search, [(it[2], it[5]) for it in items])
+        for (g, node, rows, depth, y_node, _), best in zip(items, found):
+            if best is None:
+                g.value[node] = _leaf_value(y_node, classification, class_count)
+                continue
+            f, thr = best
+            mask = X[rows, f] <= thr
+            left = g.split(node, f, thr)
+            # push right first so the left subtree is grown first
+            g.stack.append((left + 1, rows[~mask], depth + 1))
+            g.stack.append((left, rows[mask], depth + 1))
         live = [g for g in live if g.stack]
+    del search  # its arrays go before the trees are copied out
     return [g.tree() for g in growths]
 
 

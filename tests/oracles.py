@@ -2,13 +2,13 @@
 
 Everything here is deliberately brute-force: quadratic dominance
 classification, inclusion-exclusion and Monte-Carlo areas, full 2^n
-sign enumeration for the signed-rank test, a column-by-column
-permutation-importance loop, tree-by-tree forest prediction, and a
-tree grown one node at a time with a stable sort per split search, and
-a CSV loader that reads every row before converting cell by cell. None
-of it shares code with the package beyond the evaluation context or
-fitted trees it is handed, and the dataset and error types the loader
-builds.
+sign enumeration for the signed-rank test, column-by-column loops for
+the subset shuffle and permutation importance, tree-by-tree forest
+prediction, a tree grown one node at a time with a stable sort per
+split search, and a CSV loader that reads every row before converting
+cell by cell. None of it shares code with the package beyond the
+evaluation context or fitted trees it is handed, and the dataset and
+error types the loader builds.
 """
 
 import csv
@@ -71,6 +71,18 @@ def hypervolume_monte_carlo(points, reference, n_samples, seed):
     for px, py in pts:
         dominated |= (sx >= px) & (sy >= py)
     return box * dominated.mean()
+
+
+def merit_reference(ctx, chromosome, rng):
+    """Subset merit with one ``rng.permutation`` per selected column, in
+    ascending column order, on a copy of the evaluation rows."""
+    selected = np.flatnonzero(np.asarray(chromosome))
+    if selected.size == 0:
+        return 0.0
+    Xp = ctx.eval_rows.X.copy()
+    for col in selected:
+        Xp[:, col] = rng.permutation(Xp[:, col])
+    return abs(ctx.baseline_perf - ctx._evaluate(Xp))
 
 
 def pfi_rank_reference(ctx, repeats, rng):

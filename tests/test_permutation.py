@@ -16,7 +16,7 @@ from permsel.permutation import (
 )
 
 from conftest import StubModel
-from oracles import pfi_rank_reference
+from oracles import merit_reference, pfi_rank_reference
 
 
 class RecordingModel:
@@ -134,6 +134,25 @@ class TestMerit:
                     assert np.array_equal(seen[:, col], twin.permutation(X[:, col]))
                 else:
                     assert np.array_equal(seen[:, col], X[:, col])
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 40, 1001])
+    def test_matches_column_loop_and_stream_position(self, m):
+        # one permuted call over the selected columns gives the matrix a
+        # permutation per column gives, and leaves the stream where that
+        # loop leaves it
+        rng = np.random.default_rng(m)
+        for w in (1, 2, 7, 50):
+            rows = RowView(rng.standard_normal((m, w)), rng.standard_normal(m),
+                           Task.REGRESSION)
+            bits = (rng.random(w) < 0.5).astype(np.uint8)
+            bits[rng.integers(w)] = 1
+            seed = int(rng.integers(2**32))
+            got, ref = RecordingModel(w), RecordingModel(w)
+            a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+            merit(EvalContext(got, rows, Metric.RMSE), bits, a)
+            merit_reference(EvalContext(ref, rows, Metric.RMSE), bits, b)
+            assert np.array_equal(got.seen[-1], ref.seen[-1])
+            assert a.integers(2**62) == b.integers(2**62)
 
     def test_null_features_exactly_zero_when_model_ignores_them(self):
         # the model only looks at feature 0, so shuffling the rest is a no-op

@@ -644,7 +644,8 @@ class TestSharedContext:
     per cell, fitted once."""
 
     PARAMS = {"subset-v1": MOEA_PARAMS, "subset-v2": MOEA_PARAMS,
-              "pfi-v1": {"repeats": 2}, "pfi-v2": {"repeats": 2}, "corr": {}}
+              "pfi-v1": {"repeats": 2}, "pfi-v2": {"repeats": 2}, "corr": {},
+              "all": {}}
 
     @pytest.fixture
     def clock(self, monkeypatch):
@@ -692,4 +693,21 @@ class TestSharedContext:
         rows = self._run(tmp_path, self.PARAMS, seeds=(0,))
         runtime = {r.method: r.runtime_seconds for r in rows}
         assert runtime == {"subset-v1": 1000.0, "subset-v2": 1000.0,
-                           "pfi-v1": 1000.0, "pfi-v2": 1000.0, "corr": 0.0}
+                           "pfi-v1": 1000.0, "pfi-v2": 1000.0, "corr": 0.0,
+                           "all": 0.0}
+
+    def test_all_is_scored_on_the_v2_forest(self, tmp_path, monkeypatch):
+        # every feature on the train+validation rows is what the v2 context
+        # fitted, so the all rows are scored on that forest without a refit
+        def all_rows(rows):
+            return [dataclasses.replace(r, runtime_seconds=None)
+                    for r in rows if r.method == "all"]
+        alone = all_rows(self._run(tmp_path, ("all",)))
+        fits = []
+        real_fit = runner.learner_mod.fit
+        monkeypatch.setattr(runner.learner_mod, "fit",
+                            lambda spec, rows: fits.append(spec) or real_fit(spec, rows))
+        shared = all_rows(self._run(tmp_path, ("subset-v2", "all")))
+        # per cell: the v2 context and the subset's evaluation
+        assert len(fits) == 4
+        assert len(alone) == 2 and shared == alone

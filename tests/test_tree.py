@@ -5,12 +5,14 @@ the reference grows alone from the same stream: same node ids, features,
 thresholds, children and leaf values.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from permsel.dataset import RowView, Task
 from permsel.learner import LearnerSpec, fit
-from permsel.tree import _best_splits, grow_tree
+from permsel.tree import _BUDGET, _best_splits, _Search, grow_tree
 
 from oracles import best_split_reference, fit_forest_reference, grow_tree_reference
 
@@ -126,12 +128,85 @@ class TestBatchedSearch:
         rows = _rows(q, n=60, w=9, seed=8)
         X, y = rows.X, rows.y
         rng = np.random.default_rng(0)
-        XT = np.ascontiguousarray(np.hstack([X.T, np.full((X.shape[1], 1), np.inf)]))
-        target = np.append(y, q if q else 0)
         nodes = [(rng.choice(60, size=m, replace=m > 60),
                   np.sort(rng.choice(9, size=4, replace=False)))
                  for m in (2, 3, 5, 8, 8, 13, 30, 60, 90)]
         nodes.append((np.zeros(6, dtype=np.int64), np.arange(4)))  # one row, six times
-        found = _best_splits(XT, target, nodes, q is not None, q or 0)
+        self._assert_matches_reference(X, y, nodes, q)
+
+    @staticmethod
+    def _assert_matches_reference(X, y, nodes, q):
+        found = _best_splits(_Search(X, y, q is not None, q or 0), nodes)
         for (r, c), got in zip(nodes, found):
             assert got == best_split_reference(X, r, y[r], c, q is not None, q or 0)
+        return found
+
+    @pytest.mark.parametrize("q", [None, 3], ids=["reg", "q3"])
+    def test_tie_across_candidate_groups(self, q):
+        # a root too wide for one block is searched in groups of candidates;
+        # the best split sits in the first and in later groups (equal
+        # columns, an exact impurity tie), and the lowest feature must win
+        room = _BUDGET // (q or 1)       # a block's elements per class plane
+        m = 2 * room // 5 + 1             # so a group holds two candidates
+        rng = np.random.default_rng(1)
+        X = np.round(rng.standard_normal((m, 7)), 2)
+        X[:, [3, 5]] = X[:, [1]]
+        y = X[:, 1] + 0.5 * rng.standard_normal(m)
+        if q:
+            y = np.digitize(y, np.quantile(y, [1 / 3, 2 / 3]))
+        rows = np.arange(m)
+        assert room // m == 2
+        for candidates in (np.arange(7), np.array([0, 2, 3, 4, 5, 6]), np.array([3, 5])):
+            found = self._assert_matches_reference(X, y, [(rows, candidates)], q)
+            assert found[0][0] == (1 if 1 in candidates else 3)
+
+    @pytest.mark.parametrize("q", [None, 2, 4], ids=["reg", "bin", "q4"])
+    def test_many_blocks_of_nodes(self, q):
+        # more nodes than one block holds, packed by row count, with rounded
+        # values: tied values that carry different targets
+        rng = np.random.default_rng(2)
+        X = np.round(rng.standard_normal((900, 12)), 1)
+        if q:
+            y = rng.integers(0, q, 900)
+        else:
+            y = np.round(rng.standard_normal(900), 1) * 10.0 ** rng.integers(-6, 6, 900)
+        sizes = rng.integers(2, 900, 40)
+        nodes = [(rng.choice(900, size=s), np.sort(rng.choice(12, size=6, replace=False)))
+                 for s in sizes]
+        assert 6 * sizes.sum() > 4 * _BUDGET
+        self._assert_matches_reference(X, y, nodes, q)
+
+    @pytest.mark.parametrize("q", [None, 2], ids=["reg", "bin"])
+    def test_signed_zeros_are_one_value(self, q):
+        # -0.0 and 0.0 compare equal, so no split may fall between them,
+        # even where one would separate the targets perfectly
+        X = np.array([[-1.0], [-0.0], [0.0], [-0.0], [0.0], [1.0], [0.0], [-0.0]])
+        y = np.array([0, 1, 0, 1, 0, 1, 0, 1])
+        y = y if q else y * 3.0
+        nodes = [(np.arange(8), np.array([0])), (np.array([1, 2, 3, 4]), np.array([0]))]
+        found = self._assert_matches_reference(X, y, nodes, q)
+        assert found[1] is None
+        _assert_same_forest(LearnerSpec(n_trees=3, max_features="all"),
+                            RowView(X, y, Task.CLASSIFICATION if q else Task.REGRESSION,
+                                    class_count=q))
+
+
+class TestSearchMemory:
+    def test_peak_stays_within_a_few_copies_of_x(self):
+        # a wide root of several classes over every feature: the search
+        # works in bounded blocks, so the fit's peak stays near the size of
+        # X (a root searched in one piece holds about ten copies of it)
+        rng = np.random.default_rng(0)
+        X = rng.standard_normal((2000, 60))
+        s = X[:, 0] + X[:, 1]
+        y = np.digitize(s, np.quantile(s, [0.2, 0.4, 0.6, 0.8]))
+        rows = RowView(X, y, Task.CLASSIFICATION, class_count=5)
+        spec = LearnerSpec(n_trees=1, max_features="all", max_depth=2, bootstrap=False)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            fit(spec, rows)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * X.nbytes
