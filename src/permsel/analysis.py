@@ -30,19 +30,11 @@ class WilcoxonResult:
 
 
 def _midranks(values: np.ndarray) -> np.ndarray:
-    order = np.argsort(values, kind="stable")
-    sorted_vals = values[order]
-    ranks_sorted = np.empty(values.size)
-    i = 0
-    while i < values.size:
-        j = i
-        while j + 1 < values.size and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks_sorted[i:j + 1] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    ranks = np.empty(values.size)
-    ranks[order] = ranks_sorted
-    return ranks
+    """1-based ranks; tied values share the mean of their ranks, and each
+    NaN takes a rank of its own after every number."""
+    _, inverse, counts = np.unique(values, return_inverse=True,
+                                   return_counts=True, equal_nan=False)
+    return (np.cumsum(counts) - 0.5 * (counts - 1))[inverse]
 
 
 def _exact_two_sided_p(ranks: np.ndarray, w_obs: float) -> float:
@@ -165,11 +157,7 @@ def win_loss_ranking(outcomes: list[PairwiseOutcome]) -> list[RankingRow]:
     Rows are sorted by wins minus losses, descending, with method name as
     the tie-break.
     """
-    methods: list[str] = []
-    for o in outcomes:
-        for m in (o.method_a, o.method_b):
-            if m not in methods:
-                methods.append(m)
+    methods = list(dict.fromkeys(m for o in outcomes for m in (o.method_a, o.method_b)))
     wins = {m: 0 for m in methods}
     losses = {m: 0 for m in methods}
     for outcome in outcomes:

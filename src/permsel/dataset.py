@@ -204,17 +204,11 @@ def load_csv(path, task: Task, target_col: int | None = None) -> Dataset:
     feature_names = header[:tcol] + header[tcol + 1:]
     target_name = header[tcol]
     if task is Task.CLASSIFICATION:
-        class_names: list[str] = []
-        index: dict[str, int] = {}
-        y = np.empty(len(raw_targets), dtype=np.int64)
-        for i, label in enumerate(raw_targets):
-            if label not in index:
-                index[label] = len(class_names)
-                class_names.append(label)
-            y[i] = index[label]
-        if len(class_names) < 2:
+        index = {label: i for i, label in enumerate(dict.fromkeys(raw_targets))}
+        if len(index) < 2:
             raise SingleClassError(f"{path}: classification target has a single class")
-        return Dataset(X, y, task, feature_names, class_names, target_name)
+        y = np.array([index[label] for label in raw_targets], dtype=np.int64)
+        return Dataset(X, y, task, feature_names, list(index), target_name)
     y = np.empty(len(raw_targets), dtype=float)
     for i, t in enumerate(raw_targets):
         try:

@@ -60,13 +60,10 @@ def balanced_accuracy(y, yhat, class_count: int) -> float:
     yhat = yhat.astype(np.int64)
     if y.min() < 0 or y.max() >= class_count:
         raise MetricError("label outside [0, class_count)")
-    recalls = []
-    for c in range(class_count):
-        mask = y == c
-        if not mask.any():
-            continue
-        recalls.append(float(np.mean(yhat[mask] == c)))
-    return float(np.mean(recalls))
+    hits = np.bincount(y[yhat == y], minlength=class_count)
+    totals = np.bincount(y, minlength=class_count)
+    present = totals > 0
+    return float(np.mean(hits[present] / totals[present]))
 
 
 def rmse(y, yhat) -> float:

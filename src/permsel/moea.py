@@ -123,35 +123,28 @@ def dominates(a, b) -> bool:
 
 
 def fast_nondominated_sort(objectives) -> list[list[int]]:
-    """Partition objective vectors into Pareto fronts (indices, best first)."""
-    n = len(objectives)
-    if n == 0:
+    """Partition objective vectors into Pareto fronts (indices, best first).
+
+    Front 0 is in index order. A later front is ordered by the position
+    of each member's last dominator in the front before it, then by
+    index, which is the order Deb's counting sort releases them in.
+    Crowding-distance ties, and so the survivors, depend on this order.
+    """
+    if len(objectives) == 0:
         raise PermselError("empty population")
-    dominated_by = [[] for _ in range(n)]
-    n_dominators = [0] * n
-    fronts: list[list[int]] = [[]]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if dominates(objectives[i], objectives[j]):
-                dominated_by[i].append(j)
-                n_dominators[j] += 1
-            elif dominates(objectives[j], objectives[i]):
-                dominated_by[j].append(i)
-                n_dominators[i] += 1
-    for i in range(n):
-        if n_dominators[i] == 0:
-            fronts[0].append(i)
-    k = 0
-    while fronts[k]:
-        nxt = []
-        for i in fronts[k]:
-            for j in dominated_by[i]:
-                n_dominators[j] -= 1
-                if n_dominators[j] == 0:
-                    nxt.append(j)
-        k += 1
-        fronts.append(nxt)
-    fronts.pop()
+    objs = np.asarray(objectives, dtype=float)
+    a, b = objs[:, None, :], objs[None, :, :]
+    dom = np.all(a <= b, axis=2) & np.any(a < b, axis=2)  # i dominates j
+    n_dominators = dom.sum(axis=0)
+    front = np.flatnonzero(n_dominators == 0)
+    fronts: list[list[int]] = []
+    while front.size:
+        fronts.append(front.tolist())
+        rows = dom[front]
+        n_dominators -= rows.sum(axis=0)
+        nxt = np.flatnonzero((n_dominators == 0) & rows.any(axis=0))
+        last = len(front) - 1 - np.argmax(rows[::-1, nxt], axis=0)
+        front = nxt[np.argsort(last, kind="stable")]
     return fronts
 
 

@@ -196,6 +196,11 @@ class ReportRow:
 
 
 REPORT_COLUMNS = [f.name for f in fields(ReportRow)]
+# column -> (cell type, empty cell means None), from the field types
+_COLUMN_KINDS = {
+    f.name: ({"str": str, "int": int, "float": float}[f.type.split(" | ")[0]],
+             f.type.endswith(" | None"))
+    for f in fields(ReportRow)}
 
 
 @dataclass
@@ -413,19 +418,29 @@ def write_report_csv(path, rows: list[ReportRow]):
 
 
 def read_report_csv(path) -> list[ReportRow]:
+    """The rows of a report CSV. A missing column, a short row or a cell
+    of the wrong type raises, naming the file, the line and the column."""
     rows = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
+        for col in REPORT_COLUMNS:
+            if col not in (reader.fieldnames or ()):
+                raise PermselError(f"{path}: line 1: no column {col!r}")
         for rec in reader:
+            where = f"{path}: line {reader.line_num}"
             kwargs = {}
-            for col in REPORT_COLUMNS:
+            for col, (kind, nullable) in _COLUMN_KINDS.items():
                 v = rec[col]
-                if col in ("dataset", "task", "method", "k_label", "status", "error"):
-                    kwargs[col] = v
-                elif col in ("seed", "selected_count"):
-                    kwargs[col] = int(v) if v != "" else None
-                else:
-                    kwargs[col] = float(v) if v != "" else None
+                if v is None:  # a short row
+                    raise PermselError(f"{where}: no cell for column {col!r}")
+                if nullable and v == "":
+                    kwargs[col] = None
+                    continue
+                try:
+                    kwargs[col] = kind(v)
+                except ValueError:
+                    raise PermselError(f"{where}: column {col!r}: {v!r} is not "
+                                       f"a valid {kind.__name__}") from None
             rows.append(ReportRow(**kwargs))
     return rows
 
@@ -457,9 +472,7 @@ def aggregate(rows: list[ReportRow]) -> dict:
     tables: dict = {"means": [], "rankings": {}, "pairwise": {},
                     "overfitting": [], "runtimes": []}
 
-    numeric = [c for c in REPORT_COLUMNS
-               if c not in ("dataset", "task", "method", "k_label", "seed",
-                            "status", "error")]
+    numeric = [c for c, (_, nullable) in _COLUMN_KINDS.items() if nullable]
     for (task, method, k_label), sub in groups.items():
         rec = {"task": task, "method": method, "k_label": k_label,
                "entry": _entry_label(method, k_label), "n_rows": len(sub)}
@@ -481,13 +494,13 @@ def aggregate(rows: list[ReportRow]) -> dict:
         task_groups = [(_entry_label(method, k_label), sub)
                        for (t, method, k_label), sub in groups.items() if t == task]
         for col, metric in metric_specs:
-            per_entry: dict[str, dict[str, list[float]]] = {}
+            per_entry: dict[str, dict[str, float]] = {}  # label -> dataset -> mean
             for label, sub in task_groups:
                 by_ds: dict[str, list[float]] = {}
                 for r in sub:
                     if getattr(r, col) is not None:
                         by_ds.setdefault(r.dataset, []).append(getattr(r, col))
-                per_entry[label] = by_ds
+                per_entry[label] = {d: float(np.mean(v)) for d, v in by_ds.items()}
             labels = sorted(per_entry)
             samples = []
             for i, la in enumerate(labels):
@@ -495,8 +508,8 @@ def aggregate(rows: list[ReportRow]) -> dict:
                     shared = sorted(set(per_entry[la]) & set(per_entry[lb]))
                     if not shared:
                         continue
-                    va = tuple(float(np.mean(per_entry[la][d])) for d in shared)
-                    vb = tuple(float(np.mean(per_entry[lb][d])) for d in shared)
+                    va = tuple(per_entry[la][d] for d in shared)
+                    vb = tuple(per_entry[lb][d] for d in shared)
                     samples.append(PairedSample(la, lb, metric, va, vb))
             if samples:
                 outcomes = [compare_pair(s) for s in samples]
@@ -576,14 +589,18 @@ def _fmt(v) -> str:
 def load_config(path) -> ExperimentConfig:
     """Read an experiment configuration from JSON (schema in the README).
 
-    A key that names no field, at any level, raises with its key path;
-    the returned config has passed ``validate``.
+    A file that does not parse raises, naming it. A value of the wrong
+    JSON shape, or a key that names no field, at any level, raises with
+    its key path; the returned config has passed ``validate``.
     """
     with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh)
+        try:
+            raw = json.load(fh)
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise PermselError(f"{path}: {exc}") from None
     _check_fields(ExperimentConfig, raw, "")
     datasets = []
-    for i, d in enumerate(raw["datasets"]):
+    for i, d in enumerate(_expect(raw["datasets"], list, "datasets")):
         _check_fields(DatasetSpec, d, f"datasets[{i}].")
         synth = d.get("synthetic")
         if synth is not None:
@@ -592,8 +609,8 @@ def load_config(path) -> ExperimentConfig:
         datasets.append(_from_entries(DatasetSpec, d, task=parse_task(d["task"]),
                                       synthetic=synth))
     methods = []
-    for i, m in enumerate(raw["methods"]):
-        if "kind" not in m:
+    for i, m in enumerate(_expect(raw["methods"], list, "methods")):
+        if "kind" not in _expect(m, dict, f"methods[{i}]"):
             raise PermselError(f"missing config key 'methods[{i}].kind'")
         methods.append(MethodSpec(m["kind"],
                                   {k: v for k, v in m.items() if k != "kind"}))
@@ -603,6 +620,15 @@ def load_config(path) -> ExperimentConfig:
                         learner=_from_entries(LearnerSpec, learner))
     cfg.validate()
     return cfg
+
+
+def _expect(value, kind: type, key: str):
+    """``value`` if it is a JSON object (``dict``) or array (``list``);
+    otherwise raise, naming the key path."""
+    if not isinstance(value, kind):
+        noun = "a JSON object" if kind is dict else "a list"
+        raise PermselError(f"{key} must be {noun}, got {value!r}")
+    return value
 
 
 def _check_keys(entries: dict, names, required, where: str):
@@ -617,8 +643,9 @@ def _check_keys(entries: dict, names, required, where: str):
 
 
 def _check_fields(cls, entries: dict, where: str):
-    """``_check_keys`` against the fields of a dataclass; those without a
-    default are required."""
+    """``_check_keys`` against the fields of a dataclass, after checking
+    that ``entries`` is a JSON object; fields without a default are required."""
+    _expect(entries, dict, where[:-1] or "the top level")
     _check_keys(entries, {f.name for f in fields(cls)},
                 [f.name for f in fields(cls)
                  if f.default is MISSING and f.default_factory is MISSING], where)

@@ -1,8 +1,9 @@
 """Independent reference implementations used to check the real ones.
 
 Everything here is deliberately brute-force: quadratic dominance
-classification, inclusion-exclusion and Monte-Carlo areas, full 2^n
-sign enumeration for the signed-rank test, column-by-column loops for
+classification and Deb's counting sort, inclusion-exclusion and
+Monte-Carlo areas, a per-class recall loop, full 2^n sign enumeration
+and a midrank loop for the signed-rank test, column-by-column loops for
 the subset shuffle and permutation importance, tree-by-tree forest
 prediction, a tree grown one node at a time with a stable sort per
 split search, and a CSV loader that reads every row before converting
@@ -26,20 +27,53 @@ from permsel.errors import (
 )
 
 
+def _dominates(a, b):
+    return all(x <= y for x, y in zip(a, b)) and any(x < y for x, y in zip(a, b))
+
+
 def brute_force_fronts(objectives):
     """Pareto fronts by repeated O(n^2) scans over the remaining points."""
-    def dom(a, b):
-        return all(x <= y for x, y in zip(a, b)) and any(x < y for x, y in zip(a, b))
-
     remaining = list(range(len(objectives)))
     fronts = []
     while remaining:
         front = [i for i in remaining
-                 if not any(dom(objectives[j], objectives[i])
+                 if not any(_dominates(objectives[j], objectives[i])
                             for j in remaining if j != i)]
         fronts.append(front)
         remaining = [i for i in remaining if i not in front]
     return fronts
+
+
+def counting_sort_fronts(objectives):
+    """Pareto fronts, in order, by Deb's counting sort (IEEE TEC 2002).
+
+    Each point keeps the list of points it dominates, in index order, and
+    a count of its dominators. Walking a front in order, each point
+    decrements the counts of the points it dominates, and a point whose
+    count reaches zero joins the next front at that moment.
+    """
+    n = len(objectives)
+    dominated_by = [[] for _ in range(n)]
+    n_dominators = [0] * n
+    for i in range(n):
+        for j in range(i + 1, n):
+            if _dominates(objectives[i], objectives[j]):
+                dominated_by[i].append(j)
+                n_dominators[j] += 1
+            elif _dominates(objectives[j], objectives[i]):
+                dominated_by[j].append(i)
+                n_dominators[i] += 1
+    fronts = [[i for i in range(n) if n_dominators[i] == 0]]
+    while True:
+        nxt = []
+        for i in fronts[-1]:
+            for j in dominated_by[i]:
+                n_dominators[j] -= 1
+                if n_dominators[j] == 0:
+                    nxt.append(j)
+        if not nxt:
+            return fronts
+        fronts.append(nxt)
 
 
 def hypervolume_inclusion_exclusion(points, reference):
@@ -261,6 +295,19 @@ def fit_forest_reference(X, y, *, n_trees, seed, bootstrap, **grow_kwargs):
             Xt, yt = X, y
         trees.append(grow_tree_reference(Xt, yt, rng, **grow_kwargs))
     return trees
+
+
+def balanced_accuracy_reference(y, yhat, class_count):
+    """Mean recall over the classes present in ``y``, one class at a time."""
+    y = np.asarray(y, dtype=np.int64)
+    yhat = np.asarray(yhat, dtype=np.int64)
+    recalls = []
+    for c in range(class_count):
+        mask = y == c
+        if not mask.any():
+            continue
+        recalls.append(float(np.mean(yhat[mask] == c)))
+    return float(np.mean(recalls))
 
 
 def wilcoxon_enumeration_p(diffs):

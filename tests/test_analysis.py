@@ -4,6 +4,7 @@ import pytest
 from permsel.analysis import (
     OverfitKind,
     PairedSample,
+    _midranks,
     compare_pair,
     overfit_ratio,
     wilcoxon_signed_rank,
@@ -12,7 +13,26 @@ from permsel.analysis import (
 from permsel.errors import AnalysisError
 from permsel.metrics import Metric
 
+from oracles import _midranks as midranks_reference
 from oracles import wilcoxon_enumeration_p
+
+
+class TestMidranks:
+    def test_hand_value(self):
+        assert _midranks(np.array([3.0, 1.0, 3.0, 2.0, 3.0])).tolist() == \
+            [4.0, 1.0, 4.0, 2.0, 4.0]
+
+    def test_matches_loop_on_tied_vectors(self):
+        rng = np.random.default_rng(6)
+        for _ in range(200):
+            n = int(rng.integers(1, 40))
+            values = rng.integers(0, int(rng.integers(1, 8)), size=n) * 0.1
+            if rng.random() < 0.2:
+                values[rng.integers(0, n, size=2)] = np.nan
+            got, want = _midranks(values), midranks_reference(values)
+            nan = np.isnan(values)  # NaNs take the top ranks, one each, in any order
+            assert got[~nan].tobytes() == want[~nan].tobytes()
+            assert np.sort(got[nan]).tobytes() == np.sort(want[nan]).tobytes()
 
 
 class TestWilcoxon:

@@ -7,7 +7,7 @@ from permsel import cli
 from permsel.cli import main
 from permsel.dataset import Task, load_csv, split
 from permsel.learner import LearnerSpec
-from permsel.runner import MethodSpec, run_selection
+from permsel.runner import MethodSpec, ReportRow, run_selection, write_report_csv
 
 
 def _synth_csv(tmp_path, name="data.csv"):
@@ -170,6 +170,39 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.splitlines() == [f"permsel: error: {message}"]
         assert not (tmp_path / "o").exists()
+
+    def test_config_that_does_not_parse_is_one_line(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text('{"datasets": [')
+        rc = main(["run", "--config", str(cfg_path)])
+        assert rc == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"permsel: error: {cfg_path}: Expecting value")
+
+    @pytest.mark.parametrize("fault, where", [
+        ("header", "line 1: no column 'method'"),
+        ("seed", "line 3: column 'seed': 'x' is not a valid int"),
+        ("short_row", "line 2: no cell for column 'selected_count'"),
+    ])
+    def test_report_fault_is_one_line(self, tmp_path, capsys, fault, where):
+        report = tmp_path / "reports" / "report.csv"
+        report.parent.mkdir()
+        write_report_csv(report, [ReportRow("d", "regression", "corr", "5", seed)
+                                  for seed in (0, 1)])
+        lines = report.read_text().splitlines()
+        if fault == "header":
+            lines[0] = "dataset,task"
+        elif fault == "seed":
+            lines[2] = lines[2].replace("corr,5,1,", "corr,5,x,")
+        else:
+            lines[1] = "d,regression,corr,5,0"
+        report.write_text("\n".join(lines) + "\n")
+        rc = main(["report", "--in", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"permsel: error: {report}: {where}"]
+        assert not (tmp_path / "summary").exists()
 
     @pytest.mark.parametrize("fault", ["latin1", "long_cell", "missing"])
     @pytest.mark.parametrize("command", ["rank", "select", "run"])

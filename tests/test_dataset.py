@@ -151,6 +151,8 @@ LOADER_CORPUS = {
     "target_col_negative": ("a,t\n1,2\n", REG, -1),
     "labels": ("x,y,label\n1,2,b\n2,3, a \n3,4,b\n4,5,c\n", CLS, None),
     "numeric_labels": ("x,label\n1,2\n2,1.0\n3,2\n", CLS, None),
+    "many_labels": ("x,label\n" + "".join(f"{i},{c}\n" for i, c in
+                                          enumerate("hchagcbedfaibgh")), CLS, None),
     "single_class": ("a,label\n1,x\n2,x\n", CLS, None),
     "header_only": ("a,t\n", REG, None),
     "empty_file": ("", REG, None),

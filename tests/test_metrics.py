@@ -13,6 +13,8 @@ from permsel.metrics import (
     score,
 )
 
+from oracles import balanced_accuracy_reference
+
 
 class TestAccuracy:
     def test_perfect(self):
@@ -49,6 +51,17 @@ class TestBalancedAccuracy:
     def test_absent_class_ignored(self):
         # class 2 never occurs in y so only two recalls are averaged
         assert balanced_accuracy([0, 1], [0, 1], 3) == 1.0
+
+    @pytest.mark.parametrize("class_count", [2, 3, 8, 11])
+    def test_matches_per_class_loop(self, class_count):
+        rng = np.random.default_rng(class_count)
+        for _ in range(100):
+            n = int(rng.integers(1, 60))
+            present = int(rng.integers(1, class_count + 1))  # some classes absent
+            y = rng.integers(0, present, size=n)
+            yhat = rng.integers(0, class_count, size=n)
+            got = balanced_accuracy(y, yhat, class_count)
+            assert got == balanced_accuracy_reference(y, yhat, class_count)
 
     def test_matches_accuracy_when_balanced(self):
         rng = np.random.default_rng(0)

@@ -26,6 +26,7 @@ from permsel.permutation import EvalContext, build_context
 from conftest import StubModel
 from oracles import (
     brute_force_fronts,
+    counting_sort_fronts,
     hypervolume_inclusion_exclusion,
     hypervolume_monte_carlo,
 )
@@ -75,6 +76,24 @@ class TestFastNondominatedSort:
             got = fast_nondominated_sort(pts)
             want = brute_force_fronts(pts)
             assert [sorted(f) for f in got] == [sorted(f) for f in want]
+
+    def test_later_front_ordered_by_last_dominator(self):
+        # 3 is released by 0 and 2 by 1, so front 1 is [3, 2], not [2, 3]
+        fronts = fast_nondominated_sort([(0, 5), (5, 0), (6, 1), (1, 6)])
+        assert fronts == [[0, 1], [3, 2]]
+
+    @pytest.mark.parametrize("grid", [None, 2, 3, 6])
+    @pytest.mark.parametrize("n_objectives", [2, 3])
+    def test_fronts_and_order_match_counting_sort(self, grid, n_objectives):
+        rng = np.random.default_rng([grid or 0, n_objectives])
+        for _ in range(150):
+            n = int(rng.integers(1, 61))
+            if grid is None:
+                pts = rng.uniform(0, 1, size=(n, n_objectives))
+            else:  # integer grids: many ties and duplicate points
+                pts = rng.integers(0, grid, size=(n, n_objectives))
+            pts = [tuple(v) for v in pts.tolist()]
+            assert fast_nondominated_sort(pts) == counting_sort_fronts(pts)
 
 
 class TestCrowdingDistance:

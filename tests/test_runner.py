@@ -330,6 +330,15 @@ class TestConfigFailsFast:
          "datasets[0].synthetic.n_instances must be an integer >= 1, got '50'"),
         (lambda raw: raw["datasets"][0]["synthetic"].update(noise=None),
          "datasets[0].synthetic.noise"),
+        ("{", "cfg.json: Expecting property name enclosed in double quotes"),
+        ("[]", "the top level must be a JSON object, got []"),
+        (lambda raw: raw.update(datasets=5), "datasets must be a list, got 5"),
+        (lambda raw: raw["datasets"].append("d"),
+         "datasets[1] must be a JSON object, got 'd'"),
+        (lambda raw: raw["datasets"][0].update(synthetic=[1]),
+         "datasets[0].synthetic must be a JSON object, got [1]"),
+        (lambda raw: raw.update(methods=[5]), "methods[0] must be a JSON object, got 5"),
+        (lambda raw: raw.update(learner=None), "learner must be a JSON object, got None"),
     ])
     def test_load_config_names_bad_key(self, tmp_path, edit, message):
         raw = {
@@ -343,8 +352,11 @@ class TestConfigFailsFast:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(raw))
         assert load_config(path).learner.n_trees == 3
-        edit(raw)
-        path.write_text(json.dumps(raw))
+        if isinstance(edit, str):  # the whole file
+            path.write_text(edit)
+        else:
+            edit(raw)
+            path.write_text(json.dumps(raw))
         with pytest.raises(PermselError, match=re.escape(message)):
             load_config(path)
 
