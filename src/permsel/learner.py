@@ -8,6 +8,7 @@ or parallel schedule. Fitted models are immutable and safe to share.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,9 +84,9 @@ class RandomForestModel:
         self.task = task
         self.n_features = n_features
         self.class_count = class_count
-        self._compiled = CompiledForest(trees)
+        self.compiled = CompiledForest(trees)
         if task is Task.CLASSIFICATION \
-                and not np.isin(self._compiled.value, np.arange(class_count)).all():
+                and not np.isin(self.compiled.value, np.arange(class_count)).all():
             raise LearnerError(f"leaf values must be class indices below {class_count}")
 
     def predict(self, X: np.ndarray) -> np.ndarray:
@@ -94,13 +95,20 @@ class RandomForestModel:
         if X.ndim != 2 or X.shape[1] != self.n_features:
             raise LearnerError(
                 f"expected rows of width {self.n_features}, got shape {X.shape}")
-        preds = self._compiled.leaf_values(X)
+        return self.combine(self.compiled.leaf_values(X))
+
+    def combine(self, preds: np.ndarray) -> np.ndarray:
+        """The forest's prediction from (..., trees, rows) leaf values: a
+        majority vote (ties to the lowest class index) or the tree mean."""
         if self.task is Task.CLASSIFICATION:
-            n, q = X.shape[0], self.class_count
-            cells = np.arange(n) * q + preds.astype(np.int64)
-            counts = np.bincount(cells.ravel(), minlength=n * q).reshape(n, q)
-            return np.argmax(counts, axis=1)
-        return preds.mean(axis=0)
+            *lead, _, n = preds.shape
+            q = self.class_count
+            blocks = math.prod(lead) * n
+            cells = preds.astype(np.int64)
+            cells += np.arange(blocks).reshape(*lead, 1, n) * q
+            counts = np.bincount(cells.ravel(), minlength=blocks * q)
+            return np.argmax(counts.reshape(*lead, n, q), axis=-1)
+        return preds.mean(axis=-2)
 
     def to_json(self) -> str:
         """Versioned JSON container for the fitted state."""

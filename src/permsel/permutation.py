@@ -15,7 +15,7 @@ import numpy as np
 from . import learner as learner_mod
 from .dataset import Dataset, Partition, RowView, Task
 from .errors import PermselError
-from .learner import LearnerSpec
+from .learner import LearnerSpec, RandomForestModel
 from .metrics import Metric, score
 
 
@@ -42,7 +42,9 @@ class EvalContext:
         return self.eval_rows.n_features
 
     def _evaluate(self, X: np.ndarray) -> float:
-        yhat = self.model.predict(X)
+        return self._score(self.model.predict(X))
+
+    def _score(self, yhat: np.ndarray) -> float:
         return score(self.metric, self.eval_rows.y, yhat,
                      class_count=self.eval_rows.class_count)
 
@@ -138,17 +140,59 @@ def pfi_rank(ctx: EvalContext, repeats: int = 5,
 
     score_i is ``merit_mc`` of the one-hot chromosome selecting only
     column i. Draws come from ``rng`` in feature-major order (all repeats
-    of feature 0, then feature 1, ...).
+    of feature 0, then feature 1, ...). A forest scores the (feature,
+    repeat) jobs in blocks (``_pfi_merits``), with the same draws and
+    floats; any other model runs ``merit_mc`` feature by feature.
     """
     if rng is None:
         rng = np.random.default_rng(0)
+    if repeats < 1:
+        raise PermselError("repeats must be at least 1")
     w = ctx.n_features
-    scores = np.zeros(w)
-    for col in range(w):
-        onehot = np.zeros(w, dtype=np.uint8)
-        onehot[col] = 1
-        scores[col] = merit_mc(ctx, onehot, repeats, rng)
-    return FeatureScores(scores)
+    if not isinstance(ctx.model, RandomForestModel):
+        onehots = np.eye(w, dtype=np.uint8)
+        return FeatureScores([merit_mc(ctx, onehots[col], repeats, rng)
+                              for col in range(w)])
+    merits = _pfi_merits(ctx, repeats, rng).reshape(w, repeats)
+    # merit_mc's sequential sum over the repeats
+    total = np.zeros(w)
+    for r in range(repeats):
+        total += merits[:, r]
+    return FeatureScores(total / repeats)
+
+
+# Elements of the (jobs, trees, rows) leaf table of one PFI block
+_PFI_BLOCK = 1 << 14
+
+
+def _pfi_merits(ctx: EvalContext, repeats: int,
+                rng: np.random.Generator) -> np.ndarray:
+    """The merit of each (feature, repeat) job of a forest context, in
+    feature-major order.
+
+    Each block of jobs draws its row maps with one ``permuted`` call on
+    an int32 (jobs, rows) index array: the draws, in order, of one
+    single-column ``merit`` call per job. The forest re-walks only the
+    (tree, row) pairs whose path tests a job's column
+    (``CompiledForest.shuffled_leaf_values``), and votes or averages as
+    ``predict`` does.
+    """
+    model, rows = ctx.model, ctx.eval_rows
+    forest = model.compiled
+    paths = forest.paths(np.ascontiguousarray(rows.X, dtype=float))
+    n = rows.n_rows
+    jobs = ctx.n_features * repeats
+    per_block = max(1, _PFI_BLOCK // paths.leaf.size)
+    merits = np.empty(jobs)
+    for lo in range(0, jobs, per_block):
+        block = np.arange(lo, min(lo + per_block, jobs))
+        row_maps = rng.permuted(
+            np.broadcast_to(np.arange(n, dtype=np.int32), (block.size, n)), axis=1)
+        yhat = model.combine(
+            forest.shuffled_leaf_values(paths, block // repeats, row_maps))
+        for job, pred in zip(block, yhat):
+            merits[job] = abs(ctx.baseline_perf - ctx._score(pred))
+    return merits
 
 
 def select_top_k(scores: FeatureScores, k: int) -> np.ndarray:

@@ -74,6 +74,10 @@ class DatasetSpec:
 
     def validate(self, where: str = ""):
         """Check the entry before any load; ``where`` prefixes key paths."""
+        if not isinstance(self.name, str):
+            raise PermselError(f"{where}name must be a string, got {self.name!r}")
+        if not (self.path is None or isinstance(self.path, (str, os.PathLike))):
+            raise PermselError(f"{where}path must be a string, got {self.path!r}")
         if (self.path is None) == (self.synthetic is None):
             raise PermselError(f"{where}path and {where}synthetic: give exactly one")
         if self.synthetic is not None:
@@ -420,28 +424,34 @@ def write_report_csv(path, rows: list[ReportRow]):
 def read_report_csv(path) -> list[ReportRow]:
     """The rows of a report CSV. A missing column, a short row or a cell
     of the wrong type raises, naming the file, the line and the column."""
-    rows = []
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        for col in REPORT_COLUMNS:
-            if col not in (reader.fieldnames or ()):
-                raise PermselError(f"{path}: line 1: no column {col!r}")
-        for rec in reader:
-            where = f"{path}: line {reader.line_num}"
-            kwargs = {}
-            for col, (kind, nullable) in _COLUMN_KINDS.items():
-                v = rec[col]
-                if v is None:  # a short row
-                    raise PermselError(f"{where}: no cell for column {col!r}")
-                if nullable and v == "":
-                    kwargs[col] = None
-                    continue
-                try:
-                    kwargs[col] = kind(v)
-                except ValueError:
-                    raise PermselError(f"{where}: column {col!r}: {v!r} is not "
-                                       f"a valid {kind.__name__}") from None
-            rows.append(ReportRow(**kwargs))
+        try:
+            return _report_rows(csv.DictReader(fh), path)
+        except (UnicodeDecodeError, csv.Error) as exc:  # as load_csv's _csv_rows
+            raise PermselError(f"{path}: {exc}") from None
+
+
+def _report_rows(reader: csv.DictReader, path) -> list[ReportRow]:
+    rows = []
+    for col in REPORT_COLUMNS:
+        if col not in (reader.fieldnames or ()):
+            raise PermselError(f"{path}: line 1: no column {col!r}")
+    for rec in reader:
+        where = f"{path}: line {reader.line_num}"
+        kwargs = {}
+        for col, (kind, nullable) in _COLUMN_KINDS.items():
+            v = rec[col]
+            if v is None:  # a short row
+                raise PermselError(f"{where}: no cell for column {col!r}")
+            if nullable and v == "":
+                kwargs[col] = None
+                continue
+            try:
+                kwargs[col] = kind(v)
+            except ValueError:
+                raise PermselError(f"{where}: column {col!r}: {v!r} is not "
+                                   f"a valid {kind.__name__}") from None
+        rows.append(ReportRow(**kwargs))
     return rows
 
 

@@ -10,7 +10,9 @@ the next node of every tree in one batched call, and every tree comes
 out as it would grown alone.
 
 Prediction runs on a ``CompiledForest``: the nodes of any number of trees
-in one table, traversed by every tree for every row at once.
+in one table, traversed by every tree for every row at once. A
+``ForestPaths`` records where those walks went, so that the rows with one
+column shuffled are walked again only where the column is tested.
 """
 
 from __future__ import annotations
@@ -63,7 +65,7 @@ class CompiledForest:
     ``child[2 * i]`` the right one.
     """
 
-    __slots__ = ("feature", "threshold", "child", "value", "roots", "depth")
+    __slots__ = ("feature", "threshold", "child", "value", "leaf", "roots", "depth")
 
     def __init__(self, trees: list[Tree]):
         sizes = [t.feature.size for t in trees]
@@ -81,6 +83,7 @@ class CompiledForest:
         self.child[0::2] = right
         self.child[1::2] = left
         self.value = np.concatenate([t.value for t in trees])
+        self.leaf = leaf
         depth, level = 0, self.roots[~leaf[self.roots]]
         while level.size:
             level = np.concatenate([left[level], right[level]])
@@ -88,16 +91,108 @@ class CompiledForest:
             depth += 1
         self.depth = depth
 
-    def leaf_values(self, X: np.ndarray) -> np.ndarray:
-        """(trees, rows) matrix: the leaf value each tree gives each row."""
+    def _walk(self, X: np.ndarray):
+        """The (trees, rows) matrix of current nodes before each of the
+        ``depth`` steps, and last the leaf each tree gives each row."""
         n, w = X.shape
         flat = X.ravel()
         row_base = np.arange(n) * w
         node = np.broadcast_to(self.roots[:, None], (self.roots.size, n))
         for _ in range(self.depth):
+            yield node
             go_left = flat[row_base + self.feature[node]] <= self.threshold[node]
             node = self.child[2 * node + go_left]
+        yield node
+
+    def leaf_values(self, X: np.ndarray) -> np.ndarray:
+        """(trees, rows) matrix: the leaf value each tree gives each row."""
+        for node in self._walk(X):
+            pass
         return self.value[node]
+
+    def paths(self, X: np.ndarray) -> "ForestPaths":
+        """Walk every tree for every row of X, as ``leaf_values`` does, and
+        record, for each feature, the (tree, row) pairs whose path tests it
+        and the first node on the path that does."""
+        n, w = X.shape
+        P = self.roots.size * n
+        pair = np.arange(P).reshape(-1, n)
+        keys, nodes = [], []
+        for node in self._walk(X):
+            internal = ~self.leaf[node]
+            keys.append((self.feature[node] * P + pair)[internal])
+            nodes.append(node[internal])
+        # the walk is in step order, so a key's first occurrence is the
+        # shallowest node that tests that feature on that pair's path
+        key, first = np.unique(np.concatenate(keys), return_index=True)
+        tested = key // P
+        return ForestPaths(X, self.value[node], np.searchsorted(tested, np.arange(w + 1)),
+                           key - tested * P, np.concatenate(nodes)[first])
+
+    def shuffled_leaf_values(self, paths: "ForestPaths", features: np.ndarray,
+                             row_maps: np.ndarray) -> np.ndarray:
+        """(jobs, trees, rows) leaf values of the rows of ``paths`` when job
+        j reads column ``features[j]`` through its row map: row i sees
+        ``X[row_maps[j, i], features[j]]`` there and its own values in
+        every other column.
+
+        A pair whose path does not test the job's column keeps its leaf
+        from ``paths``. The others are walked again from the first node
+        that tests the column, and are dropped every few steps once they
+        reach a leaf.
+        """
+        X = paths.X
+        n, w = X.shape
+        P = paths.leaf.size
+        lo, hi = paths.offsets[features], paths.offsets[features + 1]
+        counts = hi - lo
+        job = np.repeat(np.arange(features.size), counts)
+        entry = np.arange(counts.sum()) + np.repeat(lo - np.cumsum(counts) + counts,
+                                                     counts)
+        pair = paths.pairs[entry]
+        node = paths.nodes[entry]
+        row = pair % n
+        column = features[job]
+        own = row * w                       # the row's own values
+        moved = row_maps[job, row].astype(np.intp) * w  # where its shuffled value is
+        out = job * P + pair
+        values = np.tile(paths.leaf.ravel(), features.size)
+        flat = X.ravel()
+        while out.size:
+            for _ in range(_STEPS_PER_COMPACTION):
+                feature = self.feature[node]
+                base = np.where(feature == column, moved, own)
+                go_left = flat[base + feature] <= self.threshold[node]
+                node = self.child[2 * node + go_left]
+            done = self.leaf[node]
+            values[out[done]] = self.value[node[done]]
+            live = ~done
+            node, column, own, moved, out = (node[live], column[live], own[live],
+                                             moved[live], out[live])
+        return values.reshape(features.size, -1, n)
+
+
+# Re-walk steps between two drops of the pairs that have reached a leaf
+_STEPS_PER_COMPACTION = 4
+
+
+class ForestPaths:
+    """Where the walks of one set of rows ``X`` go in a ``CompiledForest``.
+
+    ``leaf`` is the (trees, rows) leaf-value matrix. A pair is
+    ``tree * rows + row``; the pairs whose path tests feature f are
+    ``pairs[offsets[f]:offsets[f + 1]]``, in ascending order, and
+    ``nodes`` holds the first node on each of those paths that tests f.
+    """
+
+    __slots__ = ("X", "leaf", "offsets", "pairs", "nodes")
+
+    def __init__(self, X, leaf, offsets, pairs, nodes):
+        self.X = X
+        self.leaf = leaf
+        self.offsets = offsets
+        self.pairs = pairs
+        self.nodes = nodes
 
 
 def _leaf_value(y, classification: bool, class_count: int) -> float:

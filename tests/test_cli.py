@@ -154,6 +154,8 @@ class TestErrors:
          "learner.n_trees must be an integer >= 1, got '5'"),
         ({"workers": "2"}, "workers must be an integer >= 1, got '2'"),
         ({"seeds": 3}, "seeds must be a list of integers >= 0, got 3"),
+        ({"datasets": [{"name": "syn", "task": "reg", "path": True}]},
+         "datasets[0].path must be a string, got True"),
     ])
     def test_wrong_value_is_one_line(self, tmp_path, capsys, changes, message):
         data = _synth_csv(tmp_path)
@@ -202,6 +204,21 @@ class TestErrors:
         assert rc == 2
         assert capsys.readouterr().err.splitlines() == [
             f"permsel: error: {report}: {where}"]
+        assert not (tmp_path / "summary").exists()
+
+    @pytest.mark.parametrize("fault", [b"caf\xe9", b"9" * 131073],
+                             ids=["latin1", "long_cell"])
+    def test_report_bytes_fault_is_one_line(self, tmp_path, capsys, fault):
+        # a byte that is not UTF-8, or a cell over the csv field limit
+        report = tmp_path / "reports" / "report.csv"
+        report.parent.mkdir()
+        write_report_csv(report, [ReportRow("d", "regression", "corr", "5", 0)])
+        report.write_bytes(report.read_bytes().replace(b"corr", fault))
+        rc = main(["report", "--in", str(tmp_path)])
+        assert rc == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"permsel: error: {report}: ")
         assert not (tmp_path / "summary").exists()
 
     @pytest.mark.parametrize("fault", ["latin1", "long_cell", "missing"])

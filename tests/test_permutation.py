@@ -1,9 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from permsel import permutation
+
 from permsel.dataset import Dataset, RowView, Task, split
 from permsel.errors import PermselError
-from permsel.learner import LearnerSpec, fit
+from permsel.learner import LearnerSpec, RandomForestModel, fit
 from permsel.metrics import Metric, accuracy, rmse
 from permsel.permutation import (
     EvalContext,
@@ -14,6 +18,7 @@ from permsel.permutation import (
     pfi_rank,
     select_top_k,
 )
+from permsel.tree import CompiledForest
 
 from conftest import StubModel
 from oracles import merit_reference, pfi_rank_reference
@@ -209,6 +214,10 @@ class TestMeritMc:
         assert np.var(fives) < np.var(singles)
 
 
+def _subset(rows, idx):
+    return RowView(rows.X[idx], rows.y[idx], rows.task, rows.class_count)
+
+
 class TestPfiRank:
     def test_constant_column_scores_zero(self):
         X = np.column_stack([np.arange(6.0), np.full(6, 2.0)])
@@ -257,31 +266,129 @@ class TestPfiRank:
         scores = pfi_rank(ctx, repeats=200, rng=np.random.default_rng(4))
         assert mc == pytest.approx(scores.scores[0], abs=0.02)
 
+    @staticmethod
+    def _check(ctx, repeats, seed=0):
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        scores, ranking = pfi_rank_reference(ctx, repeats, a)
+        got = pfi_rank(ctx, repeats=repeats, rng=b)
+        assert got.scores.tolist() == scores.tolist()
+        assert got.ranking.tolist() == ranking.tolist()
+        assert b.bit_generator.state == a.bit_generator.state
+        return got.scores
 
     @pytest.fixture(scope="class")
     def forest_contexts(self):
-        rng = np.random.default_rng(8)
-        X = rng.standard_normal((120, 7))
-        y_reg = X[:, 0] - 2.0 * X[:, 1] + 0.1 * rng.standard_normal(120)
-        reg = RowView(X, y_reg, Task.REGRESSION)
-        y_cls = (X[:, 0] > 0).astype(np.int64) + 2 * (X[:, 2] > 0.3)
-        cls = RowView(X, y_cls, Task.CLASSIFICATION, class_count=4)
-        contexts = []
-        for rows, metric in ((reg, Metric.RMSE), (cls, Metric.ACC)):
-            model = fit(LearnerSpec(n_trees=6, seed=1), rows)
-            contexts.append(EvalContext(model, rows, metric))
+        # column 5 is constant, so no tree can split on it; class 3 is in
+        # the training rows but not in the evaluation rows
+        rng = np.random.default_rng(21)
+        X = rng.standard_normal((150, 6)).round(1)
+        X[:, 5] = 0.25
+        y_reg = X[:, 0] - 2.0 * X[:, 1] + 0.3 * rng.standard_normal(150)
+        y_cls = (X[:, 0] > 0).astype(np.int64) + (X[:, 2] > 0.4)
+        y_cls[X[:, 3] > 1.2] = 3
+        fit_idx = np.arange(100)
+        eval_idx = 100 + np.flatnonzero(y_cls[100:] != 3)
+        contexts = {}
+        for metric in (Metric.RMSE, Metric.ACC, Metric.BA):
+            if metric is Metric.RMSE:
+                rows = RowView(X, y_reg, Task.REGRESSION)
+            else:
+                rows = RowView(X, y_cls, Task.CLASSIFICATION, class_count=4)
+            model = fit(LearnerSpec(n_trees=7, seed=2), _subset(rows, fit_idx))
+            contexts[metric] = EvalContext(model, _subset(rows, eval_idx), metric)
         return contexts
 
     @pytest.mark.parametrize("repeats", [1, 5, 9])
     def test_matches_reference_loop_bit_for_bit(self, forest_contexts, repeats):
         # nine repeats is where a pairwise (np.mean) sum changes the last bit
-        for i, ctx in enumerate(forest_contexts):
-            scores, ranking = pfi_rank_reference(
-                ctx, repeats, np.random.default_rng([i, repeats]))
-            got = pfi_rank(ctx, repeats=repeats,
-                           rng=np.random.default_rng([i, repeats]))
-            assert got.scores.tolist() == scores.tolist()
-            assert got.ranking.tolist() == ranking.tolist()
+        for ctx in forest_contexts.values():
+            assert 3 not in ctx.eval_rows.y
+            scores = self._check(ctx, repeats, seed=repeats)
+            assert scores[5] == 0.0  # no tree tests the constant column
+            assert (scores[:5] > 0).any()
+
+    @pytest.mark.parametrize("jobs_per_block", [1, 4, 7])
+    @pytest.mark.parametrize("metric", [Metric.RMSE, Metric.BA])
+    def test_jobs_span_several_blocks(self, forest_contexts, monkeypatch, metric,
+                                      jobs_per_block):
+        ctx = forest_contexts[metric]
+        pairs = len(ctx.model.trees) * ctx.eval_rows.n_rows
+        monkeypatch.setattr(permutation, "_PFI_BLOCK", jobs_per_block * pairs)
+        blocks = []
+        walk = CompiledForest.shuffled_leaf_values
+
+        def counted(forest, paths, features, row_maps):
+            blocks.append(features.tolist())
+            return walk(forest, paths, features, row_maps)
+
+        monkeypatch.setattr(CompiledForest, "shuffled_leaf_values", counted)
+        self._check(ctx, 5)
+        assert [len(b) for b in blocks[:-1]] == [jobs_per_block] * (len(blocks) - 1)
+        assert sum(blocks, []) == np.repeat(np.arange(6), 5).tolist()
+
+    def test_no_predict_per_job(self, forest_contexts, monkeypatch):
+        ctx = forest_contexts[Metric.ACC]
+        calls = []
+        predict = RandomForestModel.predict
+        monkeypatch.setattr(RandomForestModel, "predict",
+                            lambda model, X: calls.append(1) or predict(model, X))
+        pfi_rank(ctx, repeats=3, rng=np.random.default_rng(0))
+        assert calls == []
+
+    @pytest.mark.parametrize("task", [Task.REGRESSION, Task.CLASSIFICATION])
+    def test_single_leaf_trees(self, task):
+        rng = np.random.default_rng(4)
+        X = rng.standard_normal((40, 3))
+        y = (X[:, 0] > 0).astype(np.int64)
+        rows = RowView(X, y, task, class_count=2 if task is Task.CLASSIFICATION else None)
+        model = fit(LearnerSpec(n_trees=3, max_depth=0, seed=0), rows)
+        assert model.compiled.depth == 0
+        metric = Metric.ACC if task is Task.CLASSIFICATION else Metric.RMSE
+        scores = self._check(EvalContext(model, rows, metric), 4)
+        assert scores.tolist() == [0.0, 0.0, 0.0]
+
+    @pytest.mark.parametrize("metric", [Metric.RMSE, Metric.ACC])
+    def test_one_evaluation_row(self, forest_contexts, metric):
+        ctx = forest_contexts[metric]
+        one = EvalContext(ctx.model, _subset(ctx.eval_rows, np.arange(1)), metric)
+        assert self._check(one, 5).tolist() == [0.0] * 6
+
+    @pytest.mark.parametrize("repeats", [1, 9])
+    def test_stub_models_take_the_loop(self, stump_ctx, repeats):
+        self._check(stump_ctx, repeats)
+        rng = np.random.default_rng(6)
+        X = rng.standard_normal((30, 3))
+        rows = RowView(X, (X[:, 0] > 0).astype(np.int64), Task.CLASSIFICATION,
+                       class_count=2)
+        self._check(EvalContext(StubModel(lambda r: int(r[0] > 0), 3), rows,
+                                Metric.ACC), repeats)
+        # one predict per job, after the baseline
+        model = RecordingModel(3)
+        ctx = EvalContext(model, RowView(X, X[:, 1], Task.REGRESSION), Metric.RMSE)
+        pfi_rank(ctx, repeats, np.random.default_rng(0))
+        assert len(model.seen) == 1 + 3 * repeats
+
+
+class TestPfiMemory:
+    def test_peak_is_a_small_multiple_of_one_block(self):
+        # one block is _PFI_BLOCK float64 leaf values, and the re-walk keeps
+        # about nine 8-byte arrays over at most as many touched pairs; all
+        # at once, this context's leaf tables alone would take 290 blocks
+        rng = np.random.default_rng(9)
+        X = rng.standard_normal((160, 2000))
+        y = (X[:, 0] + X[:, 1] > 0).astype(np.int64) + (X[:, 2] > 0.5)
+        rows = RowView(X, y, Task.CLASSIFICATION, class_count=3)
+        model = fit(LearnerSpec(n_trees=8, seed=0), _subset(rows, np.arange(100)))
+        ctx = EvalContext(model, _subset(rows, np.arange(100, 160)), Metric.ACC)
+        block = 8 * permutation._PFI_BLOCK
+        assert 5 * 2000 * 8 * 60 * 8 > 250 * block
+        tracemalloc.start()
+        try:
+            pfi_rank(ctx, repeats=5, rng=np.random.default_rng(0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10 * block, f"peak {peak / block:.1f} blocks"
 
 
 class TestBuildContext:

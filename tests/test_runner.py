@@ -339,6 +339,16 @@ class TestConfigFailsFast:
          "datasets[0].synthetic must be a JSON object, got [1]"),
         (lambda raw: raw.update(methods=[5]), "methods[0] must be a JSON object, got 5"),
         (lambda raw: raw.update(learner=None), "learner must be a JSON object, got None"),
+        (lambda raw: raw["datasets"][0].update(synthetic=None, path=5),
+         "datasets[0].path must be a string, got 5"),
+        (lambda raw: raw["datasets"][0].update(synthetic=None, path=True),
+         "datasets[0].path must be a string, got True"),
+        (lambda raw: raw["datasets"][0].update(path=["d.csv"]),
+         "datasets[0].path must be a string, got ['d.csv']"),
+        (lambda raw: raw["datasets"][0].update(name=7),
+         "datasets[0].name must be a string, got 7"),
+        (lambda raw: raw["datasets"][0].update(name=None),
+         "datasets[0].name must be a string, got None"),
     ])
     def test_load_config_names_bad_key(self, tmp_path, edit, message):
         raw = {
