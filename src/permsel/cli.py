@@ -78,6 +78,8 @@ def cmd_rank(args) -> int:
     learner.validate()
     if args.k is not None and args.k < 1:
         raise PermselError(f"--k must be an integer >= 1, got {args.k}")
+    if method.kind == "infogain" and task is Task.REGRESSION:
+        raise PermselError("infogain needs classification data; --task is reg")
     ds = load_csv(args.data, task, target_col=args.target_col)
     part = split(ds, args.seed, stratified=task is Task.CLASSIFICATION)
     sel = run_selection(ds, part, method, args.seed, learner)

@@ -15,7 +15,7 @@ import numpy as np
 from . import learner as learner_mod
 from .dataset import Dataset, Partition, RowView, Task
 from .errors import PermselError
-from .learner import LearnerSpec, RandomForestModel
+from .learner import LearnerSpec
 from .metrics import Metric, score
 
 
@@ -136,23 +136,20 @@ def merit_mc(ctx: EvalContext, chromosome, repeats: int,
 
 def pfi_rank(ctx: EvalContext, repeats: int = 5,
              rng: np.random.Generator | None = None) -> FeatureScores:
-    """Single-feature permutation importance over all columns.
+    """Single-feature permutation importance over all columns, on a
+    context whose model is a ``RandomForestModel``.
 
     score_i is ``merit_mc`` of the one-hot chromosome selecting only
-    column i. Draws come from ``rng`` in feature-major order (all repeats
-    of feature 0, then feature 1, ...). A forest scores the (feature,
-    repeat) jobs in blocks (``_pfi_merits``), with the same draws and
-    floats; any other model runs ``merit_mc`` feature by feature.
+    column i, with the same draws and floats: draws come from ``rng`` in
+    feature-major order (all repeats of feature 0, then feature 1, ...),
+    and the forest scores the (feature, repeat) jobs in blocks
+    (``_pfi_merits``).
     """
     if rng is None:
         rng = np.random.default_rng(0)
     if repeats < 1:
         raise PermselError("repeats must be at least 1")
     w = ctx.n_features
-    if not isinstance(ctx.model, RandomForestModel):
-        onehots = np.eye(w, dtype=np.uint8)
-        return FeatureScores([merit_mc(ctx, onehots[col], repeats, rng)
-                              for col in range(w)])
     merits = _pfi_merits(ctx, repeats, rng).reshape(w, repeats)
     # merit_mc's sequential sum over the repeats
     total = np.zeros(w)

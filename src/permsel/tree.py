@@ -10,14 +10,17 @@ the next node of every tree in one batched call, and every tree comes
 out as it would grown alone.
 
 Prediction runs on a ``CompiledForest``: the nodes of any number of trees
-in one table, traversed by every tree for every row at once. A
-``ForestPaths`` records where those walks went, so that the rows with one
-column shuffled are walked again only where the column is tested.
+in one table. Every traversal is one descent of many (tree, row) walks at
+once, each from a given node, that drops the walks which have reached a
+leaf every few steps. A ``ForestPaths`` records where the walks from the
+roots went, so that the rows with one column shuffled are walked again
+only where the column is tested.
 """
 
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -58,14 +61,13 @@ class CompiledForest:
     """The nodes of several trees in one table, for batched traversal.
 
     Node ids are offset per tree, so tree t starts at ``roots[t]``. A leaf
-    tests feature 0 and both its children are itself, so a row that has
-    reached a leaf stays there: ``depth`` steps (the deepest leaf's depth)
-    bring every row to its leaf in every tree. ``child[2 * i + 1]`` is the
-    left child of node i (taken when ``x <= threshold``) and
-    ``child[2 * i]`` the right one.
+    tests feature 0 and both its children are itself, so a walk that has
+    reached a leaf stays there until it is dropped. ``child[2 * i + 1]``
+    is the left child of node i (taken when ``x <= threshold``) and
+    ``child[2 * i]`` the right one. Every traversal is one ``_descend``.
     """
 
-    __slots__ = ("feature", "threshold", "child", "value", "leaf", "roots", "depth")
+    __slots__ = ("feature", "threshold", "child", "value", "leaf", "roots")
 
     def __init__(self, trees: list[Tree]):
         sizes = [t.feature.size for t in trees]
@@ -74,8 +76,7 @@ class CompiledForest:
         left = np.concatenate([t.left + r for t, r in zip(trees, self.roots)])
         right = np.concatenate([t.right + r for t, r in zip(trees, self.roots)])
         leaf = feature == _LEAF
-        ids = np.arange(feature.size)
-        left[leaf] = right[leaf] = ids[leaf]
+        left[leaf] = right[leaf] = np.flatnonzero(leaf)
         feature[leaf] = 0
         self.feature = feature
         self.threshold = np.concatenate([t.threshold for t in trees])
@@ -84,31 +85,46 @@ class CompiledForest:
         self.child[1::2] = left
         self.value = np.concatenate([t.value for t in trees])
         self.leaf = leaf
-        depth, level = 0, self.roots[~leaf[self.roots]]
-        while level.size:
-            level = np.concatenate([left[level], right[level]])
-            level = level[~leaf[level]]
-            depth += 1
-        self.depth = depth
 
-    def _walk(self, X: np.ndarray):
-        """The (trees, rows) matrix of current nodes before each of the
-        ``depth`` steps, and last the leaf each tree gives each row."""
-        n, w = X.shape
+    def _descend(self, X, node, own, out, values, shuffled=None, visit=None):
+        """Walk i from ``node[i]`` to a leaf on the row of X at flat index
+        ``own[i]`` (on the row at ``moved[i]`` in column ``column[i]``, with
+        ``shuffled = (column, moved)``) and return ``values`` with the
+        leaf's value at ``out[i]``. Every ``_STEPS_PER_COMPACTION`` steps
+        each walk writes its node's value and those at a leaf are dropped.
+        ``visit(node, out)`` sees the live walks before each step."""
         flat = X.ravel()
-        row_base = np.arange(n) * w
-        node = np.broadcast_to(self.roots[:, None], (self.roots.size, n))
-        for _ in range(self.depth):
-            yield node
-            go_left = flat[row_base + self.feature[node]] <= self.threshold[node]
-            node = self.child[2 * node + go_left]
-        yield node
+        while out.size:
+            for _ in range(_STEPS_PER_COMPACTION):
+                if visit is not None:
+                    visit(node, out)
+                go_left = self._goes_left(flat, node, own, shuffled)
+                node = self.child[2 * node + go_left]
+            values[out] = self.value[node]
+            live = ~self.leaf[node]
+            node, own, out = node[live], own[live], out[live]
+            if shuffled is not None:
+                shuffled = shuffled[0][live], shuffled[1][live]
+        return values
+
+    def _goes_left(self, flat, node, own, shuffled):
+        """Whether each walk of ``_descend`` goes left from ``node`` (its own
+        function, so that its arrays are freed before the child lookup)."""
+        feature = self.feature[node]
+        base = own if shuffled is None else np.where(feature == shuffled[0], shuffled[1], own)
+        return flat[base + feature] <= self.threshold[node]
+
+    def _from_roots(self, X, visit=None):
+        """``_descend`` of every tree for every row of X, as (trees, rows)
+        leaf values; a walk's ``out`` is its pair ``tree * rows + row``."""
+        n, w = X.shape
+        T = self.roots.size
+        return self._descend(X, np.repeat(self.roots, n), np.tile(np.arange(n) * w, T),
+                             np.arange(T * n), np.empty(T * n), visit=visit).reshape(T, n)
 
     def leaf_values(self, X: np.ndarray) -> np.ndarray:
         """(trees, rows) matrix: the leaf value each tree gives each row."""
-        for node in self._walk(X):
-            pass
-        return self.value[node]
+        return self._from_roots(X)
 
     def paths(self, X: np.ndarray) -> "ForestPaths":
         """Walk every tree for every row of X, as ``leaf_values`` does, and
@@ -116,17 +132,20 @@ class CompiledForest:
         and the first node on the path that does."""
         n, w = X.shape
         P = self.roots.size * n
-        pair = np.arange(P).reshape(-1, n)
         keys, nodes = [], []
-        for node in self._walk(X):
+
+        def visit(node, pair):
             internal = ~self.leaf[node]
-            keys.append((self.feature[node] * P + pair)[internal])
-            nodes.append(node[internal])
-        # the walk is in step order, so a key's first occurrence is the
-        # shallowest node that tests that feature on that pair's path
+            node = node[internal]
+            keys.append(self.feature[node] * P + pair[internal])
+            nodes.append(node)
+
+        leaf = self._from_roots(X, visit)
+        # each walk is visited in step order, so a key's first occurrence is
+        # the shallowest node that tests that feature on that pair's path
         key, first = np.unique(np.concatenate(keys), return_index=True)
         tested = key // P
-        return ForestPaths(X, self.value[node], np.searchsorted(tested, np.arange(w + 1)),
+        return ForestPaths(X, leaf, np.searchsorted(tested, np.arange(w + 1)),
                            key - tested * P, np.concatenate(nodes)[first])
 
     def shuffled_leaf_values(self, paths: "ForestPaths", features: np.ndarray,
@@ -138,11 +157,9 @@ class CompiledForest:
 
         A pair whose path does not test the job's column keeps its leaf
         from ``paths``. The others are walked again from the first node
-        that tests the column, and are dropped every few steps once they
-        reach a leaf.
+        that tests the column.
         """
-        X = paths.X
-        n, w = X.shape
+        n, w = paths.X.shape
         P = paths.leaf.size
         lo, hi = paths.offsets[features], paths.offsets[features + 1]
         counts = hi - lo
@@ -150,33 +167,19 @@ class CompiledForest:
         entry = np.arange(counts.sum()) + np.repeat(lo - np.cumsum(counts) + counts,
                                                      counts)
         pair = paths.pairs[entry]
-        node = paths.nodes[entry]
         row = pair % n
-        column = features[job]
-        own = row * w                       # the row's own values
         moved = row_maps[job, row].astype(np.intp) * w  # where its shuffled value is
-        out = job * P + pair
-        values = np.tile(paths.leaf.ravel(), features.size)
-        flat = X.ravel()
-        while out.size:
-            for _ in range(_STEPS_PER_COMPACTION):
-                feature = self.feature[node]
-                base = np.where(feature == column, moved, own)
-                go_left = flat[base + feature] <= self.threshold[node]
-                node = self.child[2 * node + go_left]
-            done = self.leaf[node]
-            values[out[done]] = self.value[node[done]]
-            live = ~done
-            node, column, own, moved, out = (node[live], column[live], own[live],
-                                             moved[live], out[live])
+        values = self._descend(paths.X, paths.nodes[entry], row * w, job * P + pair,
+                               np.tile(paths.leaf.ravel(), features.size),
+                               shuffled=(features[job], moved))
         return values.reshape(features.size, -1, n)
 
 
-# Re-walk steps between two drops of the pairs that have reached a leaf
+# Steps of a descent between two drops of the walks that have reached a leaf
 _STEPS_PER_COMPACTION = 4
 
 
-class ForestPaths:
+class ForestPaths(NamedTuple):
     """Where the walks of one set of rows ``X`` go in a ``CompiledForest``.
 
     ``leaf`` is the (trees, rows) leaf-value matrix. A pair is
@@ -185,14 +188,11 @@ class ForestPaths:
     ``nodes`` holds the first node on each of those paths that tests f.
     """
 
-    __slots__ = ("X", "leaf", "offsets", "pairs", "nodes")
-
-    def __init__(self, X, leaf, offsets, pairs, nodes):
-        self.X = X
-        self.leaf = leaf
-        self.offsets = offsets
-        self.pairs = pairs
-        self.nodes = nodes
+    X: np.ndarray
+    leaf: np.ndarray
+    offsets: np.ndarray
+    pairs: np.ndarray
+    nodes: np.ndarray
 
 
 def _leaf_value(y, classification: bool, class_count: int) -> float:
@@ -270,36 +270,35 @@ def _best_splits(search, nodes):
     where a node has no split.
 
     Every node holds at least two rows and the same number of candidates.
-    The nodes are taken in order of row count and packed into search
-    blocks of at most ``_BUDGET`` elements. A node too wide for one block
-    is searched alone, in consecutive groups of its candidates; the best
-    split carries across the groups only when a later one is strictly
-    better, so the lowest feature still wins ties.
+    Each is cut into consecutive groups of as many candidates as a block
+    of ``_BUDGET`` elements holds. Groups of equal candidate count are
+    packed into blocks in order of row count. The counts are taken largest
+    first (only a node's last group is smaller), so a node's groups come
+    in candidate order, and a later group's split replaces the node's only
+    when it is strictly better: the lowest feature still wins ties.
     """
-    k = nodes[0][1].size
     room = search.room
-    order = sorted(range(len(nodes)), key=lambda i: nodes[i][0].size)
-    found = [None] * len(nodes)
-    i = 0
-    while i < len(order):
-        # as many of the next nodes as fit, padded to the widest of them
-        j = i + 1
-        while j < len(order) and (j - i + 1) * k * nodes[order[j]][0].size <= room:
-            j += 1
-        block, i = order[i:j], j
-        rows, candidates = nodes[block[0]]
-        group = max(1, room // rows.size)
-        if len(block) > 1 or group >= k:
-            splits = _search_block(search, [nodes[b] for b in block])[1]
-            for b, split in zip(block, splits):
-                found[b] = split
-            continue
-        best = np.inf
-        for lo in range(0, k, group):
-            (value,), (split,) = _search_block(
-                search, [(rows, candidates[lo:lo + group])])
-            if value < best:
-                best, found[block[0]] = value, split
+    by_count = {}
+    for i, (rows, candidates) in enumerate(nodes):
+        step = max(1, room // rows.size)
+        for lo in range(0, candidates.size, step):
+            part = candidates[lo:lo + step]
+            by_count.setdefault(part.size, []).append((i, rows, part))
+    best, found = [np.inf] * len(nodes), [None] * len(nodes)
+    for c in sorted(by_count, reverse=True):
+        # a stable sort keeps each node's groups in candidate order
+        groups = sorted(by_count[c], key=lambda g: g[1].size)
+        start = 0
+        while start < len(groups):
+            # as many of the next groups as fit, padded to the widest of them
+            stop = start + 1
+            while stop < len(groups) and (stop - start + 1) * c * groups[stop][1].size <= room:
+                stop += 1
+            block, start = groups[start:stop], stop
+            values, splits = _search_block(search, [g[1:] for g in block])
+            for (i, _, _), value, split in zip(block, values, splits):
+                if value < best[i]:
+                    best[i], found[i] = value, split
     return found
 
 

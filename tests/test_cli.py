@@ -264,6 +264,8 @@ class TestErrors:
         (["rank", "--method", "corr", "--repeats", "3"],
          "unknown config key '--repeats'"),
         (["rank", "--method", "pfi-v2", "--bins", "4"], "unknown config key '--bins'"),
+        (["rank", "--method", "infogain"],
+         "infogain needs classification data; --task is reg"),
     ])
     def test_flags_checked_before_the_csv_is_read(self, tmp_path, capsys, argv,
                                                   message):

@@ -148,6 +148,14 @@ def _forest_rows(q, seed=0, n=60, w=5):
     return _cls_rows(X, y, q=q)
 
 
+def _leaf_depths(tree):
+    """Depth of every node of a tree; a child's id is above its parent's."""
+    depth = np.zeros(tree.feature.size, dtype=np.int64)
+    for i in np.flatnonzero(tree.feature >= 0):
+        depth[tree.left[i]] = depth[tree.right[i]] = depth[i] + 1
+    return depth
+
+
 def _probe_rows(model, X, seed=1):
     """The training rows, fresh random rows, and rows whose every value is
     one of the forest's thresholds for that column (exact ties at splits)."""
@@ -180,6 +188,37 @@ class TestCompiledForest:
         assert all(t.feature.tolist() == [-1] for t in model.trees)
         X = _probe_rows(model, rows.X)
         assert np.array_equal(model.predict(X), forest_predict_reference(model, X))
+
+    @pytest.mark.parametrize("q", [None, 4], ids=["reg", "q4"])
+    @pytest.mark.parametrize("max_depth", list(range(10)) + [None])
+    def test_walks_across_compaction_boundaries(self, q, max_depth):
+        # finished walks are dropped every _STEPS_PER_COMPACTION steps; the
+        # deepest leaf lands before, on and after a multiple of that
+        rows = _forest_rows(q, n=200)
+        model = fit(LearnerSpec(n_trees=5, max_depth=max_depth, seed=4), rows)
+        depth = max(_leaf_depths(t).max() for t in model.trees)
+        assert depth == max_depth if max_depth is not None else depth > 9
+        X = _probe_rows(model, rows.X)
+        assert np.array_equal(model.predict(X), forest_predict_reference(model, X))
+        forest = model.compiled
+        paths = forest.paths(X)
+        assert np.array_equal(paths.leaf, forest.leaf_values(X))
+        # the (tree, row) pairs whose path tests each feature, and the
+        # first node on the path that does
+        n = X.shape[0]
+        first = {}
+        for t, tree in enumerate(model.trees):
+            for r in range(n):
+                node = 0
+                while tree.feature[node] >= 0:
+                    f = tree.feature[node]
+                    first.setdefault((f, t * n + r), forest.roots[t] + node)
+                    node = (tree.left if X[r, f] <= tree.threshold[node]
+                            else tree.right)[node]
+        for f in range(X.shape[1]):
+            span = slice(paths.offsets[f], paths.offsets[f + 1])
+            expected = sorted((p, v) for (g, p), v in first.items() if g == f)
+            assert list(zip(paths.pairs[span], paths.nodes[span])) == expected
 
     @pytest.mark.parametrize("q", [None, 2, 4])
     def test_json_round_trip_matches_reference(self, q):

@@ -223,17 +223,21 @@ class TestPfiRank:
         X = np.column_stack([np.arange(6.0), np.full(6, 2.0)])
         y = (X[:, 0] > 2.5).astype(np.int64)
         rows = RowView(X, y, Task.CLASSIFICATION, class_count=2)
-        model = StubModel(lambda r: int(r[0] > 2.5), n_features=2)
+        model = fit(LearnerSpec(n_trees=3, max_features="all", seed=0), rows)
         scores = pfi_rank(EvalContext(model, rows, Metric.ACC), repeats=3,
                           rng=np.random.default_rng(0))
         assert scores.scores[1] == 0.0
 
     def test_ignored_feature_scores_zero_and_used_feature_positive(self):
+        # depth-1 trees over both columns split on column 0, which alone
+        # separates the classes, so no path tests column 1
         rng = np.random.default_rng(6)
         X = rng.standard_normal((40, 2))
         y = (X[:, 0] > 0).astype(np.int64)
         rows = RowView(X, y, Task.CLASSIFICATION, class_count=2)
-        model = StubModel(lambda r: int(r[0] > 0), n_features=2)
+        model = fit(LearnerSpec(n_trees=5, max_features="all", max_depth=1, seed=0),
+                    rows)
+        assert all(t.feature[0] == 0 for t in model.trees)
         scores = pfi_rank(EvalContext(model, rows, Metric.ACC), repeats=5,
                           rng=np.random.default_rng(1))
         assert scores.scores[1] == 0.0
@@ -342,7 +346,7 @@ class TestPfiRank:
         y = (X[:, 0] > 0).astype(np.int64)
         rows = RowView(X, y, task, class_count=2 if task is Task.CLASSIFICATION else None)
         model = fit(LearnerSpec(n_trees=3, max_depth=0, seed=0), rows)
-        assert model.compiled.depth == 0
+        assert model.compiled.leaf[model.compiled.roots].all()
         metric = Metric.ACC if task is Task.CLASSIFICATION else Metric.RMSE
         scores = self._check(EvalContext(model, rows, metric), 4)
         assert scores.tolist() == [0.0, 0.0, 0.0]
@@ -352,21 +356,6 @@ class TestPfiRank:
         ctx = forest_contexts[metric]
         one = EvalContext(ctx.model, _subset(ctx.eval_rows, np.arange(1)), metric)
         assert self._check(one, 5).tolist() == [0.0] * 6
-
-    @pytest.mark.parametrize("repeats", [1, 9])
-    def test_stub_models_take_the_loop(self, stump_ctx, repeats):
-        self._check(stump_ctx, repeats)
-        rng = np.random.default_rng(6)
-        X = rng.standard_normal((30, 3))
-        rows = RowView(X, (X[:, 0] > 0).astype(np.int64), Task.CLASSIFICATION,
-                       class_count=2)
-        self._check(EvalContext(StubModel(lambda r: int(r[0] > 0), 3), rows,
-                                Metric.ACC), repeats)
-        # one predict per job, after the baseline
-        model = RecordingModel(3)
-        ctx = EvalContext(model, RowView(X, X[:, 1], Task.REGRESSION), Metric.RMSE)
-        pfi_rank(ctx, repeats, np.random.default_rng(0))
-        assert len(model.seen) == 1 + 3 * repeats
 
 
 class TestPfiMemory:

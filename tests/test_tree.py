@@ -12,6 +12,7 @@ import pytest
 
 from permsel.dataset import RowView, Task
 from permsel.learner import LearnerSpec, fit
+from permsel import tree as tree_mod
 from permsel.tree import _BUDGET, _best_splits, _Search, grow_tree
 
 from oracles import best_split_reference, fit_forest_reference, grow_tree_reference
@@ -159,6 +160,39 @@ class TestBatchedSearch:
         for candidates in (np.arange(7), np.array([0, 2, 3, 4, 5, 6]), np.array([3, 5])):
             found = self._assert_matches_reference(X, y, [(rows, candidates)], q)
             assert found[0][0] == (1 if 1 in candidates else 3)
+
+    @pytest.mark.parametrize("q", [None, 3], ids=["reg", "q3"])
+    def test_wide_nodes_share_blocks(self, q, monkeypatch):
+        # two roots too wide for one block, each cut into candidate groups
+        # [0:3], [3:6], [6:7]: their one-candidate tails share a block, and
+        # a node's best carries across the blocks of its groups. Columns 4
+        # and 6 (and 7) repeat column 1, an exact impurity tie across
+        # groups, and the lowest candidate must win
+        room = _BUDGET // (q or 1)
+        wide, wider = room // 4 + 1, room * 2 // 7
+        assert room // wide == room // wider == 3 and 2 * wider <= room
+        rng = np.random.default_rng(3)
+        X = np.round(rng.standard_normal((wider + 40, 8)), 2)
+        X[:, [4, 6, 7]] = X[:, [1]]
+        y = X[:, 1] + 0.5 * rng.standard_normal(X.shape[0])
+        if q:
+            y = np.digitize(y, np.quantile(y, [1 / 3, 2 / 3]))
+        nodes = [(rng.choice(X.shape[0], size=wide, replace=False), np.arange(7)),
+                 (np.arange(30), np.arange(7)),
+                 (np.arange(wider), np.array([0, 2, 3, 4, 5, 6, 7]))]
+        blocks = []
+        search_block = tree_mod._search_block
+
+        def recorded(search, block):
+            blocks.append([next(i for i, (r, _) in enumerate(nodes) if r is rows)
+                           for rows, _ in block])
+            return search_block(search, block)
+
+        monkeypatch.setattr(tree_mod, "_search_block", recorded)
+        found = self._assert_matches_reference(X, y, nodes, q)
+        assert [f for f, _ in found] == [1, 1, 4]
+        assert [0, 2] in blocks                         # the shared tail block
+        assert sum(0 in b for b in blocks) == sum(2 in b for b in blocks) == 3
 
     @pytest.mark.parametrize("q", [None, 2, 4], ids=["reg", "bin", "q4"])
     def test_many_blocks_of_nodes(self, q):
