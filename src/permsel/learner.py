@@ -138,6 +138,16 @@ def fit(spec: LearnerSpec, data: RowView) -> RandomForestModel:
     With bootstrap on, each tree sees a resample of the rows drawn from
     its own stream; with it off, every tree trains on the full data.
     """
+    return fit_forests(spec, data, [np.arange(data.n_features)])[0]
+
+
+def fit_forests(spec: LearnerSpec, data: RowView,
+                column_sets) -> list[RandomForestModel]:
+    """One forest per set of ascending column indices of ``data``, each
+    equal, tree for tree, to ``fit`` on the rows restricted to its set;
+    a model takes rows of its set's width. All the trees grow together
+    (``grow_forest``), searching one rank table of ``data``.
+    """
     spec.validate()
     if data.n_rows == 0:
         raise LearnerError("empty training set")
@@ -149,19 +159,26 @@ def fit(spec: LearnerSpec, data: RowView) -> RandomForestModel:
     else:
         y = data.y.astype(float)
         class_count = 0
-    X = data.X
-    n, w = X.shape
-    max_features = spec.resolve_max_features(w, data.task)
-    rngs = [np.random.default_rng([spec.seed, t]) for t in range(spec.n_trees)]
-    samples = [rng.integers(0, n, size=n) if spec.bootstrap else np.arange(n)
-               for rng in rngs]
+    w = data.n_features
+    sets = [np.asarray(s, dtype=np.intp) for s in column_sets]
+    for s in sets:
+        if s.size == 0 or s[0] < 0 or s[-1] >= w or (np.diff(s) <= 0).any():
+            raise LearnerError(f"a column set must hold ascending indices "
+                               f"below {w}, got {s.tolist()}")
+    widths = [spec.resolve_max_features(s.size, data.task) for s in sets]
+    T = spec.n_trees
+    # each set's tree t has its own stream, as in its own fit
+    rngs = [np.random.default_rng([spec.seed, t]) for _ in sets for t in range(T)]
     trees = grow_forest(
-        X, y, samples, rngs,
+        data.X, y, rngs,
+        [s for s in sets for _ in range(T)],
+        [k for k in widths for _ in range(T)],
+        bootstrap=spec.bootstrap,
         classification=classification,
         class_count=class_count,
-        max_features=max_features,
         min_samples_split=spec.min_samples_split,
         max_depth=spec.max_depth,
     )
-    return RandomForestModel(trees, data.task, w,
-                             class_count if classification else None)
+    return [RandomForestModel(trees[i * T:(i + 1) * T], data.task, s.size,
+                              class_count if classification else None)
+            for i, s in enumerate(sets)]

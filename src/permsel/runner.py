@@ -318,8 +318,11 @@ def _cell_rows(dataset_spec: DatasetSpec, dataset: Dataset, seed: int,
     """All report rows and traces of one (dataset, seed) cell.
 
     The subset methods run first, so that the rankers can be cut at the
-    N1/N2 cardinalities they picked on the same split. A failing method
-    gives an error row, and the other methods of the cell still run.
+    N1/N2 cardinalities they picked on the same split. Then every pick
+    that has no forest yet is retrained in one ``fit_forests`` call, and
+    each is scored by ``evaluate_subset`` on its forest. A failing method
+    gives an error row, and the other methods of the cell still run; a
+    fault of the shared fit fails every method that waited on it.
     """
     name, task = dataset_spec.name, dataset_spec.task.value
     partition = split(dataset, seed,
@@ -328,11 +331,20 @@ def _cell_rows(dataset_spec: DatasetSpec, dataset: Dataset, seed: int,
     rows: list[ReportRow] = []
     traces: dict[tuple[str, str, int], RunTrace] = {}
     contexts: dict[str, tuple[EvalContext, float]] = {}  # variant -> context
+    # (method, selection, picks) of each method that selected; a pick is
+    # [label, sorted features, forest], the forest None until it is fitted
+    selected: list[tuple[MethodSpec, SelectionResult, list[list]]] = []
+
+    def fail(method, exc):  # in an except block: keep the cell alive, record it
+        log.exception("method failed: %s / %s / seed %d", name, method.kind, seed)
+        rows.append(ReportRow(name, task, method.kind, "-", seed,
+                              status="error", error=str(exc)))
+
     for method in sorted(cfg.methods, key=lambda m: m.kind not in SUBSET_METHODS):
         try:
             sel = run_selection(dataset, partition, method, seed, cfg.learner,
                                 contexts)
-            picks: list[tuple[str, np.ndarray]] = []
+            picks = []
             if sel.features is not None:
                 label = "all" if method.kind == ALL_FEATURES else "subset"
                 picks.append((label, sel.features))
@@ -352,22 +364,48 @@ def _cell_rows(dataset_spec: DatasetSpec, dataset: Dataset, seed: int,
             # every feature on the train+validation rows: the v2 forest
             model = contexts["v2"][0].model \
                 if method.kind == ALL_FEATURES and "v2" in contexts else None
-            method_rows = []
-            for label, features in picks:
-                metrics = evaluate_subset(dataset, partition, features,
-                                          cfg.learner, seed, model=model)
-                method_rows.append(ReportRow(name, task, method.kind, label, seed,
-                                             selected_count=int(features.size),
-                                             runtime_seconds=sel.runtime_seconds,
-                                             **metrics))
-        except Exception as exc:  # keep the cell alive, record the failure
-            log.exception("method failed: %s / %s / seed %d", name, method.kind, seed)
-            rows.append(ReportRow(name, task, method.kind, "-", seed,
-                                  status="error", error=str(exc)))
+            if model is None:  # a pick the shared fit cannot draw from fails here
+                for _, features in picks:
+                    cfg.learner.resolve_max_features(features.size, dataset.task)
+        except Exception as exc:
+            fail(method, exc)
+            continue
+        if method.kind in SUBSET_METHODS:
+            counts[method.kind] = int(picks[0][1].size)
+        selected.append((method, sel, [[label, np.sort(features), model]
+                                       for label, features in picks]))
+
+    pending = [pick for _, _, picks in selected for pick in picks if pick[2] is None]
+    if pending:
+        union = np.unique(np.concatenate([features for _, features, _ in pending]))
+        try:
+            models = learner_mod.fit_forests(
+                replace(cfg.learner, seed=seed),
+                dataset.rows(partition.train_val_idx, union),
+                [np.searchsorted(union, features) for _, features, _ in pending])
+        except Exception as exc:
+            for method, _, picks in selected:
+                if any(pick[2] is None for pick in picks):
+                    fail(method, exc)
+            selected = [entry for entry in selected
+                        if all(pick[2] is not None for pick in entry[2])]
+        else:
+            for pick, model in zip(pending, models):
+                pick[2] = model
+
+    for method, sel, picks in selected:
+        try:
+            method_rows = [
+                ReportRow(name, task, method.kind, label, seed,
+                          selected_count=int(features.size),
+                          runtime_seconds=sel.runtime_seconds,
+                          **evaluate_subset(dataset, partition, features, cfg.learner,
+                                            seed, model=model))
+                for label, features, model in picks]
+        except Exception as exc:
+            fail(method, exc)
             continue
         rows.extend(method_rows)
-        if method.kind in SUBSET_METHODS:
-            counts[method.kind] = method_rows[0].selected_count
         if sel.trace is not None:
             traces[(name, method.kind, seed)] = sel.trace
     return rows, traces

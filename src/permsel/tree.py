@@ -269,8 +269,8 @@ def _best_splits(search, nodes):
     """Best (feature, threshold) of each (rows, candidates) node, or None
     where a node has no split.
 
-    Every node holds at least two rows and the same number of candidates.
-    Each is cut into consecutive groups of as many candidates as a block
+    Every node holds at least two rows and at least one candidate. Each
+    is cut into consecutive groups of as many candidates as a block
     of ``_BUDGET`` elements holds. Groups of equal candidate count are
     packed into blocks in order of row count. The counts are taken largest
     first (only a node's last group is smaller), so a node's groups come
@@ -405,103 +405,133 @@ def _search_block(search, nodes):
 
 
 class _Growth:
-    """One tree being grown: its stream, its depth-first stack of
-    (node, rows, depth) and its node arrays, sized for the most nodes a
-    tree on its rows can have (two per row, less one)."""
+    """One tree being grown: its stream, its candidate pool (ascending
+    columns of X) and how many candidates a node draws from it, its
+    depth-first stack of (node, rows, depth) and its node arrays. The
+    arrays start small and double when a split needs room; a split node
+    records the column of X it tests until ``tree`` maps it into the
+    pool."""
 
-    __slots__ = ("rng", "stack", "size", "feature", "threshold", "left", "right",
-                 "value")
+    __slots__ = ("rng", "pool", "max_features", "stack", "size", "feature",
+                 "threshold", "left", "value")
 
-    def __init__(self, rng, rows):
+    def __init__(self, rng, rows, pool, max_features):
         self.rng = rng
+        self.pool = pool
+        self.max_features = max_features
         self.stack = [(0, rows, 0)]
         self.size = 1
-        capacity = 2 * rows.size - 1
-        self.feature = np.full(capacity, _LEAF, dtype=np.int32)
-        self.threshold = np.zeros(capacity)
-        self.left = np.full(capacity, _LEAF, dtype=np.int32)
-        self.right = np.full(capacity, _LEAF, dtype=np.int32)
-        self.value = np.zeros(capacity)
+        self.feature = np.full(_FIRST_NODES, _LEAF, dtype=np.int32)
+        self.threshold = np.zeros(_FIRST_NODES)
+        self.left = np.full(_FIRST_NODES, _LEAF, dtype=np.int32)
+        self.value = np.zeros(_FIRST_NODES)
+
+    def candidates(self):
+        """The ascending columns of X that the next node searches."""
+        k, m = self.max_features, self.pool.size
+        if k < m:
+            return self.pool[np.sort(self.rng.choice(m, size=k, replace=False))]
+        return self.pool
 
     def split(self, node, feature, threshold) -> int:
         """Make ``node`` internal; returns the id of its new left child,
         the right one being the next id."""
         left = self.size
         self.size += 2
+        if self.size > self.feature.size:
+            grow = self.feature.size
+            self.feature = np.append(self.feature, np.full(grow, _LEAF, np.int32))
+            self.threshold = np.append(self.threshold, np.zeros(grow))
+            self.left = np.append(self.left, np.full(grow, _LEAF, np.int32))
+            self.value = np.append(self.value, np.zeros(grow))
         self.feature[node] = feature
         self.threshold[node] = threshold
         self.left[node] = left
-        self.right[node] = left + 1
         return left
 
     def tree(self) -> Tree:
         n = self.size
-        return Tree(self.feature[:n].copy(), self.threshold[:n].copy(),
-                    self.left[:n].copy(), self.right[:n].copy(),
+        feature, left = self.feature[:n].copy(), self.left[:n].copy()
+        leaf = feature == _LEAF
+        feature[~leaf] = np.searchsorted(self.pool, feature[~leaf])
+        right = np.where(leaf, _LEAF, left + 1)
+        return Tree(feature, self.threshold[:n].copy(), left, right,
                     self.value[:n].copy())
 
 
-def grow_forest(X, y, samples, rngs, *, classification: bool, class_count: int,
-                max_features: int, min_samples_split: int,
-                max_depth: int | None) -> list[Tree]:
-    """Grow tree t on the rows ``samples[t]`` of (X, y), drawing its
-    candidate features from ``rngs[t]``; all trees in lockstep.
+# Node slots a tree starts with (doubled whenever a split needs more)
+_FIRST_NODES = 64
+# Trees x rows that grow in one lockstep group: the trees of a group
+# hold their stacks and node arrays at once
+_GROUP_ROWS = 1 << 15
 
-    Each tree keeps its own depth-first stack (left child first) and its
-    own stream, so it is the tree a one-at-a-time growth would give. A
-    step pops the next node of every tree that needs a split search
-    (settling the leaves on the way), and searches all of those nodes
-    in one ``_best_splits`` call. The searches read the rank table of X,
-    built once here; X itself is read only at the rows that place a
-    threshold and when a node is split.
+
+def grow_forest(X, y, rngs, pools, max_features, *, bootstrap: bool,
+                classification: bool, class_count: int, min_samples_split: int,
+                max_depth: int | None) -> list[Tree]:
+    """Grow tree t on the rows of (X, y), or on a bootstrap sample of
+    them drawn first from ``rngs[t]``, drawing ``max_features[t]``
+    candidates per node from the ascending columns ``pools[t]`` of X with
+    the same stream; the trees grow in lockstep.
+
+    Tree t is the tree that a one-at-a-time growth on
+    ``X[:, pools[t]]`` would give: it keeps its own depth-first stack
+    (left child first) and its own stream, and its features index its
+    pool. A step pops the next node of every tree that needs a split
+    search (settling the leaves on the way), and searches all of those
+    nodes in one ``_best_splits`` call. The searches read the rank table
+    of X, built once here; a column's ranks do not depend on the other
+    columns. X itself is read only at the rows that place a threshold
+    and when a node is split. The trees grow in groups of at most
+    ``_GROUP_ROWS`` rows in all (at least one tree each), one group after
+    the other, and a tree is copied out of its growth arrays as soon as
+    it is done.
     """
-    w = X.shape[1]
     depth_limit = np.inf if max_depth is None else max_depth
     search = _Search(X, y, classification, class_count)
-    growths = [_Growth(rng, rows) for rng, rows in zip(rngs, samples)]
-    live = growths
-    while live:
-        items = []
-        for g in live:
-            while g.stack:
-                node, rows, depth = g.stack.pop()
-                y_node = y[rows]
-                if (rows.size < min_samples_split or depth >= depth_limit
-                        or (y_node == y_node[0]).all()):
-                    g.value[node] = _leaf_value(y_node, classification,
-                                                class_count)
+    n = X.shape[0]
+    every_row = np.arange(n)
+    step = max(1, _GROUP_ROWS // n)
+    trees = [None] * len(rngs)
+    for lo in range(0, len(rngs), step):
+        live = [(t, _Growth(rng, rng.integers(0, n, size=n) if bootstrap
+                            else every_row, pools[t], max_features[t]))
+                for t, rng in enumerate(rngs[lo:lo + step], lo)]
+        while live:
+            items = []
+            for t, g in live:
+                while g.stack:
+                    node, rows, depth = g.stack.pop()
+                    y_node = y[rows]
+                    if (rows.size < min_samples_split or depth >= depth_limit
+                            or (y_node == y_node[0]).all()):
+                        g.value[node] = _leaf_value(y_node, classification,
+                                                    class_count)
+                        continue
+                    items.append((t, g, node, rows, depth, g.candidates()))
+                    break
+                else:  # every node is settled: copy the tree out of its arrays
+                    trees[t] = g.tree()
+            found = _best_splits(search, [(it[3], it[5]) for it in items])
+            for (_, g, node, rows, depth, _), best in zip(items, found):
+                if best is None:
+                    g.value[node] = _leaf_value(y[rows], classification, class_count)
                     continue
-                if max_features < w:
-                    candidates = np.sort(g.rng.choice(w, size=max_features,
-                                                      replace=False))
-                else:
-                    candidates = np.arange(w)
-                items.append((g, node, rows, depth, y_node, candidates))
-                break
-        if not items:
-            break
-        found = _best_splits(search, [(it[2], it[5]) for it in items])
-        for (g, node, rows, depth, y_node, _), best in zip(items, found):
-            if best is None:
-                g.value[node] = _leaf_value(y_node, classification, class_count)
-                continue
-            f, thr = best
-            mask = X[rows, f] <= thr
-            left = g.split(node, f, thr)
-            # push right first so the left subtree is grown first
-            g.stack.append((left + 1, rows[~mask], depth + 1))
-            g.stack.append((left, rows[mask], depth + 1))
-        live = [g for g in live if g.stack]
-    del search  # its arrays go before the trees are copied out
-    return [g.tree() for g in growths]
+                f, thr = best
+                mask = X[rows, f] <= thr
+                left = g.split(node, f, thr)
+                # push right first so the left subtree is grown first
+                g.stack.append((left + 1, rows[~mask], depth + 1))
+                g.stack.append((left, rows[mask], depth + 1))
+            live = [it[:2] for it in items]
+    return trees
 
 
 def grow_tree(X, y, rng, *, classification: bool, class_count: int,
               max_features: int, min_samples_split: int,
               max_depth: int | None) -> Tree:
     """Grow one tree on the (already resampled) training arrays."""
-    return grow_forest(X, y, [np.arange(X.shape[0])], [rng],
-                       classification=classification, class_count=class_count,
-                       max_features=max_features,
-                       min_samples_split=min_samples_split,
+    return grow_forest(X, y, [rng], [np.arange(X.shape[1])], [max_features],
+                       bootstrap=False, classification=classification,
+                       class_count=class_count, min_samples_split=min_samples_split,
                        max_depth=max_depth)[0]

@@ -132,6 +132,43 @@ class TestRunExperiment:
         assert bad and all(r.status == "error" and r.error for r in bad)
         assert good and all(r.status == "ok" for r in good)
 
+    def test_bad_max_features_fails_only_its_method(self, tmp_path):
+        # max_features 3 cannot be drawn from corr's 2-feature pick, but it
+        # can from all 8 features: corr gets one error row, all stays ok
+        ds = DatasetSpec("syn8", Task.REGRESSION,
+                         synthetic=SyntheticSpec(60, 8, 2, 0.1, seed=5))
+        cfg = ExperimentConfig(datasets=[ds],
+                               methods=[MethodSpec("corr"), MethodSpec("all")],
+                               seeds=[0], k_values=[2, 5],
+                               learner=LearnerSpec(n_trees=3, max_features=3))
+        rows = run_experiment(cfg)
+        assert [(r.method, r.k_label, r.status, r.selected_count, r.error)
+                for r in rows] == [
+            ("all", "all", "ok", 8, ""),
+            ("corr", "-", "error", None, "max_features=3 outside [1, 2]")]
+
+    def test_shared_fit_fault_fails_the_methods_that_wait_on_it(self, tmp_path,
+                                                                 monkeypatch):
+        # subset-v2 and corr wait on the cell's shared evaluation fit; all
+        # is scored on the v2 context's forest and stays ok
+        real_fit = runner.learner_mod.fit_forests
+
+        def fit_forests(spec, rows, sets):
+            if len(sets) > 1:
+                raise RuntimeError("shared fit failed")
+            return real_fit(spec, rows, sets)
+
+        monkeypatch.setattr(runner.learner_mod, "fit_forests", fit_forests)
+        methods = [MethodSpec("subset-v2", dict(MOEA_PARAMS)), MethodSpec("corr"),
+                   MethodSpec("all")]
+        cfg = _mini_config(tmp_path, seeds=(0,), methods=methods, out=tmp_path / "o")
+        rows = run_experiment(cfg)
+        assert [(r.method, r.k_label, r.status, r.error) for r in rows] == [
+            ("all", "all", "ok", ""),
+            ("corr", "-", "error", "shared fit failed"),
+            ("subset-v2", "-", "error", "shared fit failed")]
+        assert not list((tmp_path / "o" / "traces").iterdir())
+
     def test_outputs_written(self, tmp_path):
         out = tmp_path / "results"
         run_experiment(_mini_config(tmp_path, seeds=(0,), out=out))
@@ -725,11 +762,12 @@ class TestSharedContext:
             return [dataclasses.replace(r, runtime_seconds=None)
                     for r in rows if r.method == "all"]
         alone = all_rows(self._run(tmp_path, ("all",)))
-        fits = []
-        real_fit = runner.learner_mod.fit
-        monkeypatch.setattr(runner.learner_mod, "fit",
-                            lambda spec, rows: fits.append(spec) or real_fit(spec, rows))
+        forests = []  # fit is the one-set view of fit_forests
+        real_fit = runner.learner_mod.fit_forests
+        monkeypatch.setattr(runner.learner_mod, "fit_forests",
+                            lambda spec, rows, sets: forests.extend(sets)
+                            or real_fit(spec, rows, sets))
         shared = all_rows(self._run(tmp_path, ("subset-v2", "all")))
         # per cell: the v2 context and the subset's evaluation
-        assert len(fits) == 4
+        assert len(forests) == 4
         assert len(alone) == 2 and shared == alone

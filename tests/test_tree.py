@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from permsel.dataset import RowView, Task
-from permsel.learner import LearnerSpec, fit
+from permsel.errors import LearnerError
+from permsel.learner import LearnerSpec, fit, fit_forests
 from permsel import tree as tree_mod
 from permsel.tree import _BUDGET, _best_splits, _Search, grow_tree
 
@@ -74,6 +75,8 @@ class TestForestMatchesReference:
         model = _assert_same_forest(LearnerSpec(n_trees=n_trees, seed=1),
                                     _rows(q, n=80, w=12, seed=2))
         assert sum(t.feature.size for t in model.trees) > 3 * n_trees
+        if n_trees == 60 and q is None:  # a tree outgrew its first node arrays
+            assert max(t.feature.size for t in model.trees) > tree_mod._FIRST_NODES
 
     @pytest.mark.parametrize("q", [None, 4], ids=["reg", "q4"])
     def test_min_samples_split_above_rows(self, q):
@@ -107,6 +110,73 @@ class TestForestMatchesReference:
         y = np.round(rng.standard_normal(64), 1) * 10.0 ** rng.integers(-8, 8, size=64)
         _assert_same_forest(LearnerSpec(n_trees=8, max_features="all", seed=2),
                             RowView(X, y, Task.REGRESSION))
+
+
+# a single column, all columns, overlapping and disjoint sets; column 3
+# of _rows is constant
+SETS = ([4], list(range(7)), [0, 1, 3], [1, 3, 5, 6], [2, 5])
+
+
+class TestFitForests:
+    """Each forest of a shared fit equals ``fit`` on, and the reference
+    grown from, the rows restricted to its set."""
+
+    @pytest.mark.parametrize("q", [None, 2, 4], ids=["reg", "bin", "q4"])
+    @pytest.mark.parametrize("bootstrap", [True, False])
+    @pytest.mark.parametrize("max_features", [None, "sqrt", "all", 1])
+    def test_each_forest_is_its_sets_fit(self, q, bootstrap, max_features):
+        self._assert_each_forest_is_its_sets_fit(
+            _rows(q), LearnerSpec(n_trees=3, bootstrap=bootstrap,
+                                  max_features=max_features, seed=4))
+
+    @pytest.mark.parametrize("q", [None, 4], ids=["reg", "q4"])
+    def test_a_group_per_tree(self, q, monkeypatch):
+        # the groups grow one after the other, each tree in a group of its own
+        monkeypatch.setattr(tree_mod, "_GROUP_ROWS", 1)
+        self._assert_each_forest_is_its_sets_fit(_rows(q), LearnerSpec(n_trees=3, seed=4))
+
+    @staticmethod
+    def _assert_each_forest_is_its_sets_fit(rows, spec):
+        models = fit_forests(spec, rows, SETS)
+        assert len(models) == len(SETS)
+        for cols, model in zip(SETS, models):
+            alone = RowView(rows.X[:, cols], rows.y, rows.task, class_count=rows.class_count)
+            assert model.n_features == len(cols) and len(model.trees) == spec.n_trees
+            for t, (tree, own, ref) in enumerate(zip(
+                    model.trees, fit(spec, alone).trees, _reference(spec, alone))):
+                for name in NODE_ARRAYS:
+                    assert np.array_equal(getattr(tree, name), getattr(own, name))
+                    assert np.array_equal(getattr(tree, name), ref[name]), (cols, t, name)
+
+    @pytest.mark.parametrize("sets", [[[]], [[2, 1]], [[1, 1]], [[0, 7]], [[-1, 2]]],
+                             ids=["empty", "descending", "repeated", "past_end",
+                                  "negative"])
+    def test_bad_column_set(self, sets):
+        with pytest.raises(LearnerError, match="ascending indices below 7"):
+            fit_forests(LearnerSpec(n_trees=1), _rows(None), [[0, 1]] + sets)
+
+    def test_batch_peak_within_a_few_single_fits(self):
+        # 18 forests of 4 trees on 200 rows grow in one lockstep group; their
+        # node arrays grow by use, so the batch holds little more than one
+        # fit's search and rank table
+        rows = _rows(4, n=200, w=40, seed=3)
+        spec = LearnerSpec(n_trees=4, seed=3)
+        rng = np.random.default_rng(0)
+        sets = [np.sort(rng.choice(40, size=k, replace=False))
+                for k in [3, 8, 15, 25] * 4 + [30, 40]]
+        fit(spec, rows)  # one-time allocations stay out of the peaks
+
+        def peak(run):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                run()
+                return tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+
+        one = peak(lambda: fit(spec, rows))
+        assert peak(lambda: fit_forests(spec, rows, sets)) < 3 * one
 
 
 class TestGrowTree:
@@ -208,6 +278,19 @@ class TestBatchedSearch:
         nodes = [(rng.choice(900, size=s), np.sort(rng.choice(12, size=6, replace=False)))
                  for s in sizes]
         assert 6 * sizes.sum() > 4 * _BUDGET
+        self._assert_matches_reference(X, y, nodes, q)
+
+    @pytest.mark.parametrize("q", [None, 4], ids=["reg", "q4"])
+    def test_nodes_of_different_candidate_counts(self, q):
+        # the nodes of trees with different pools (a shared fit of several
+        # column sets) draw 1 to 12 candidates and share the blocks
+        rng = np.random.default_rng(4)
+        X = np.round(rng.standard_normal((600, 12)), 1)
+        y = rng.integers(0, q, 600) if q else np.round(rng.standard_normal(600), 1)
+        sizes, counts = rng.integers(2, 600, 40), rng.integers(1, 13, 40)
+        nodes = [(rng.choice(600, size=s), np.sort(rng.choice(12, size=c, replace=False)))
+                 for s, c in zip(sizes, counts)]
+        assert (counts * sizes).sum() > 4 * _BUDGET
         self._assert_matches_reference(X, y, nodes, q)
 
     @pytest.mark.parametrize("q", [None, 2], ids=["reg", "bin"])
