@@ -277,31 +277,16 @@ def split(dataset: Dataset, seed: int, stratified: bool = False) -> Partition:
     n_train, n_val, n_test = _part_sizes(s)
     if min(n_train, n_val, n_test) < 1:
         raise DatasetError("dataset too small: a part would be empty")
+    # an unstratified split is one group of every row
+    if stratified:
+        groups = [np.flatnonzero(dataset.y == c) for c in range(dataset.class_count)]
+        alloc = _stratified_allocation(np.array([g.size for g in groups]), n_train, n_val)
+    else:
+        groups, alloc = [np.arange(s)], [(n_train, n_val, n_test)]
     rng = np.random.default_rng(seed)
-    if not stratified:
-        perm = rng.permutation(s)
-        return Partition(
-            train_idx=np.sort(perm[:n_train]),
-            val_idx=np.sort(perm[n_train:n_train + n_val]),
-            test_idx=np.sort(perm[n_train + n_val:]),
-        )
-
-    q = dataset.class_count
-    class_indices = [np.flatnonzero(dataset.y == c) for c in range(q)]
-    counts = np.array([len(ix) for ix in class_indices])
-    alloc = _stratified_allocation(counts, n_train, n_val)
-    train, val, test = [], [], []
-    for c in range(q):
-        ix = class_indices[c][rng.permutation(counts[c])]
-        a, b = alloc[c, 0], alloc[c, 0] + alloc[c, 1]
-        train.append(ix[:a])
-        val.append(ix[a:b])
-        test.append(ix[b:])
-    return Partition(
-        train_idx=np.sort(np.concatenate(train)),
-        val_idx=np.sort(np.concatenate(val)),
-        test_idx=np.sort(np.concatenate(test)),
-    )
+    parts = [np.split(g[rng.permutation(g.size)], [a, a + b])
+             for g, (a, b, _) in zip(groups, alloc)]
+    return Partition(*(np.sort(np.concatenate(p)) for p in zip(*parts)))
 
 
 def _stratified_allocation(counts: np.ndarray, n_train: int, n_val: int) -> np.ndarray:

@@ -159,9 +159,6 @@ def crowding_distance(front_objectives) -> np.ndarray:
     if n == 0:
         raise PermselError("empty front")
     dist = np.zeros(n)
-    if n <= 2:
-        dist[:] = np.inf
-        return dist
     for m in range(objs.shape[1]):
         vals = objs[:, m]
         order = np.argsort(vals, kind="stable")
@@ -222,8 +219,6 @@ def hypervolume_2d(front_objectives, reference) -> float:
     """
     pts = np.asarray(front_objectives, dtype=float).reshape(-1, 2)
     ref_x, ref_y = float(reference[0]), float(reference[1])
-    if pts.shape[0] == 0:
-        return 0.0
     if np.any(pts[:, 0] > ref_x) or np.any(pts[:, 1] > ref_y):
         raise PermselError("point beyond the reference")
     order = np.lexsort((pts[:, 1], pts[:, 0]))

@@ -139,13 +139,14 @@ class ExperimentConfig:
                 or not all(is_int(s) and s >= 0 for s in self.seeds):
             raise PermselError(
                 f"seeds must be a list of integers >= 0, got {self.seeds!r}")
-        if len(set(self.seeds)) < len(self.seeds):
-            raise PermselError(f"seeds must not repeat, got {self.seeds!r}")
         if not isinstance(self.k_values, (list, tuple)) \
                 or not all(is_int(k) and k >= 1 or k in ("N1", "N2")
                            for k in self.k_values):
             raise PermselError(f"k_values must be a list of integers >= 1, 'N1' "
                                f"or 'N2', got {self.k_values!r}")
+        for name, values in (("seeds", self.seeds), ("k_values", self.k_values)):
+            if len(set(values)) < len(values):  # rows are keyed by them
+                raise PermselError(f"{name} must not repeat, got {values!r}")
         if not isinstance(self.stratified, bool):
             raise PermselError(
                 f"stratified must be true or false, got {self.stratified!r}")
@@ -194,9 +195,6 @@ class ReportRow:
     runtime_seconds: float | None = None
     status: str = "ok"
     error: str = ""
-
-    def to_csv_fields(self) -> list[str]:
-        return [_fmt(getattr(self, c)) for c in REPORT_COLUMNS]
 
 
 REPORT_COLUMNS = [f.name for f in fields(ReportRow)]
@@ -278,23 +276,18 @@ def evaluate_subset(dataset: Dataset, partition: Partition, features,
     test_rows = dataset.rows(partition.test_idx, features)
     if model is None:
         model = learner_mod.fit(replace(learner_spec, seed=seed), fit_rows)
-    pred_train = model.predict(fit_rows.X)
-    pred_test = model.predict(test_rows.X)
     out: dict[str, float | None] = {}
-    if dataset.task is Task.CLASSIFICATION:
-        q = dataset.class_count
-        out["acc_train"] = accuracy(fit_rows.y, pred_train)
-        out["ba_train"] = balanced_accuracy(fit_rows.y, pred_train, q)
-        out["acc_test"] = accuracy(test_rows.y, pred_test)
-        out["ba_test"] = balanced_accuracy(test_rows.y, pred_test, q)
-    else:
-        y_range = dataset.y  # one range per dataset keeps nRMSE comparable
-        out["rmse_train"] = rmse(fit_rows.y, pred_train)
-        out["nrmse_train"] = nrmse(out["rmse_train"], y_range)
-        out["r2_train"] = _r2_or_none(fit_rows.y, pred_train)
-        out["rmse_test"] = rmse(test_rows.y, pred_test)
-        out["nrmse_test"] = nrmse(out["rmse_test"], y_range)
-        out["r2_test"] = _r2_or_none(test_rows.y, pred_test)
+    for side, rows in (("train", fit_rows), ("test", test_rows)):
+        pred = model.predict(rows.X)
+        if dataset.task is Task.CLASSIFICATION:
+            scores = {"acc": accuracy(rows.y, pred),
+                      "ba": balanced_accuracy(rows.y, pred, dataset.class_count)}
+        else:
+            error = rmse(rows.y, pred)
+            # one range per dataset keeps nRMSE comparable
+            scores = {"rmse": error, "nrmse": nrmse(error, dataset.y),
+                      "r2": _r2_or_none(rows.y, pred)}
+        out.update({f"{metric}_{side}": v for metric, v in scores.items()})
     return out
 
 
@@ -452,11 +445,17 @@ def write_outputs(output_dir, rows: list[ReportRow],
 
 
 def write_report_csv(path, rows: list[ReportRow]):
+    _write_table(path, map(vars, rows), REPORT_COLUMNS)
+
+
+def _write_table(path, records, columns: list[str]):
+    """A CSV file of the ``columns`` of each record (a dict), one line
+    each, under a header line; a missing value is an empty cell."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(REPORT_COLUMNS)
-        for r in rows:
-            writer.writerow(r.to_csv_fields())
+        writer.writerow(columns)
+        for rec in records:
+            writer.writerow([_fmt(rec.get(c)) for c in columns])
 
 
 def read_report_csv(path) -> list[ReportRow]:
@@ -580,24 +579,16 @@ def aggregate(rows: list[ReportRow]) -> dict:
 
 def write_summary(summary_dir, tables: dict):
     os.makedirs(summary_dir, exist_ok=True)
-
-    def dump(name, records, columns):
-        with open(os.path.join(summary_dir, name), "w", newline="",
-                  encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(columns)
-            for rec in records:
-                writer.writerow([_fmt(rec.get(c)) for c in columns])
-
     if tables["means"]:
         cols = ["task", "method", "k_label", "entry", "n_rows",
                 "median_selected_count"] + \
             sorted({k for rec in tables["means"] for k in rec if k.startswith("mean_")})
-        dump("means.csv", tables["means"], cols)
+        _write_table(os.path.join(summary_dir, "means.csv"), tables["means"], cols)
     for col, ranking in tables["rankings"].items():
         records = [{"method": r.method, "wins": r.wins, "losses": r.losses,
                     "net": r.net} for r in ranking]
-        dump(f"ranking_{col}.csv", records, ["method", "wins", "losses", "net"])
+        _write_table(os.path.join(summary_dir, f"ranking_{col}.csv"), records,
+                     ["method", "wins", "losses", "net"])
     for col, outcomes in tables["pairwise"].items():
         records = []
         for o in outcomes:
@@ -608,22 +599,22 @@ def write_summary(summary_dir, tables: dict):
             records.append({"method_a": o.method_a, "method_b": o.method_b,
                             "p_value": o.p_value, "mean_diff": o.mean_diff,
                             "significant": o.significant, "display": display})
-        dump(f"pairwise_{col}.csv", records,
-             ["method_a", "method_b", "p_value", "mean_diff", "significant",
-              "display"])
+        _write_table(os.path.join(summary_dir, f"pairwise_{col}.csv"), records,
+                     ["method_a", "method_b", "p_value", "mean_diff", "significant",
+                      "display"])
     for task in ("classification", "regression"):
         recs = [r for r in tables["overfitting"] if r["task"] == task]
         if recs:
             extra = [kind.value for _, kind in _OVERFIT_SPECS[task]]
-            dump(f"overfitting_{task}.csv", recs,
-                 ["task", "entry", "mean_selected"] + extra)
+            _write_table(os.path.join(summary_dir, f"overfitting_{task}.csv"), recs,
+                         ["task", "entry", "mean_selected"] + extra)
         rt = [r for r in tables["runtimes"] if r["task"] == task]
         if rt:
             rt = sorted(rt, key=lambda r: r["mean_runtime_seconds"])
             for rank, rec in enumerate(rt, start=1):
                 rec["rank"] = rank
-            dump(f"runtimes_{task}.csv", rt,
-                 ["task", "method", "mean_runtime_seconds", "rank"])
+            _write_table(os.path.join(summary_dir, f"runtimes_{task}.csv"), rt,
+                         ["task", "method", "mean_runtime_seconds", "rank"])
 
 
 def _fmt(v) -> str:
@@ -662,8 +653,9 @@ def load_config(path) -> ExperimentConfig:
             raise PermselError(f"missing config key 'methods[{i}].kind'")
         methods.append(MethodSpec(m["kind"],
                                   {k: v for k, v in m.items() if k != "kind"}))
-    learner = raw.get("learner", {})
-    _check_fields(LearnerSpec, learner, "learner.")
+    learner = _expect(raw.get("learner", {}), dict, "learner")
+    # every forest of a cell is seeded with the cell's seed
+    _check_keys(learner, {f.name for f in fields(LearnerSpec)} - {"seed"}, (), "learner.")
     cfg = _from_entries(ExperimentConfig, raw, datasets=datasets, methods=methods,
                         learner=_from_entries(LearnerSpec, learner))
     cfg.validate()

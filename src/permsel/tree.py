@@ -114,17 +114,14 @@ class CompiledForest:
         base = own if shuffled is None else np.where(feature == shuffled[0], shuffled[1], own)
         return flat[base + feature] <= self.threshold[node]
 
-    def _from_roots(self, X, visit=None):
-        """``_descend`` of every tree for every row of X, as (trees, rows)
-        leaf values; a walk's ``out`` is its pair ``tree * rows + row``."""
+    def leaf_values(self, X: np.ndarray, visit=None) -> np.ndarray:
+        """(trees, rows) matrix: the leaf value each tree gives each row.
+        It is one ``_descend`` from the roots, where a walk's ``out`` is its
+        pair ``tree * rows + row``; ``visit`` is passed on to it."""
         n, w = X.shape
         T = self.roots.size
         return self._descend(X, np.repeat(self.roots, n), np.tile(np.arange(n) * w, T),
                              np.arange(T * n), np.empty(T * n), visit=visit).reshape(T, n)
-
-    def leaf_values(self, X: np.ndarray) -> np.ndarray:
-        """(trees, rows) matrix: the leaf value each tree gives each row."""
-        return self._from_roots(X)
 
     def paths(self, X: np.ndarray) -> "ForestPaths":
         """Walk every tree for every row of X, as ``leaf_values`` does, and
@@ -140,7 +137,7 @@ class CompiledForest:
             keys.append(self.feature[node] * P + pair[internal])
             nodes.append(node)
 
-        leaf = self._from_roots(X, visit)
+        leaf = self.leaf_values(X, visit)
         # each walk is visited in step order, so a key's first occurrence is
         # the shallowest node that tests that feature on that pair's path
         key, first = np.unique(np.concatenate(keys), return_index=True)

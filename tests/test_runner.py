@@ -345,6 +345,7 @@ class TestConfigFailsFast:
 
     @pytest.mark.parametrize("edit, message", [
         (lambda raw: raw["learner"].update(n_tree=3), "unknown config key 'learner.n_tree'"),
+        (lambda raw: raw["learner"].update(seed=7), "unknown config key 'learner.seed'"),
         (lambda raw: raw["datasets"][0]["synthetic"].update(seeed=1),
          "unknown config key 'datasets[0].synthetic.seeed'"),
         (lambda raw: raw["datasets"][0].update(kind="x"),
@@ -420,6 +421,7 @@ class TestConfigFailsFast:
                                                 path="other.csv")]},
          "dataset name 'syn' given more than once"),
         ({"seeds": [0, 1, 0]}, "seeds must not repeat, got [0, 1, 0]"),
+        ({"k_values": [3, 3]}, "k_values must not repeat, got [3, 3]"),
     ])
     def test_dataset_entries_and_seeds_checked(self, tmp_path, loads, changes,
                                                message):
@@ -653,7 +655,7 @@ class TestLoadConfig:
 
     def test_given_values_pass_through(self, tmp_path):
         learner = {"n_trees": 7, "max_features": 3, "min_samples_split": 4,
-                   "max_depth": 5, "bootstrap": False, "seed": 9}
+                   "max_depth": 5, "bootstrap": False}
         top = {"seeds": [4, 2], "k_values": [3, "N2"], "output_dir": "o",
                "stratified": False, "workers": 3}
         raw = {"datasets": [{"name": "d", "task": "cls", "path": "d.csv"}],
@@ -661,7 +663,7 @@ class TestLoadConfig:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(raw))
         cfg = load_config(path)
-        assert dataclasses.asdict(cfg.learner) == learner
+        assert cfg.learner == LearnerSpec(**learner)
         for key, value in top.items():
             assert getattr(cfg, key) == value
 
