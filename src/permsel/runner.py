@@ -9,8 +9,10 @@ the held-out test rows, which no selection method ever sees.
 One (dataset, seed) cell is one unit of work: it splits the rows, runs
 the subset methods and then the other methods in config order, so the
 rankers can be cut at the N1/N2 cardinalities picked on the same split.
-Cells share no state and run in a thread pool; results are identical for
-any pool size.
+Cells share no state. They run in a thread pool only when the interpreter
+runs without the GIL; under it, their many short numpy calls contend for
+the lock and run slower than one after another. Results are identical for
+any worker count.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import csv
 import json
 import logging
 import os
+import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields, replace
@@ -246,7 +249,7 @@ def run_selection(dataset: Dataset, partition: Partition, method: MethodSpec,
     if method.kind in SUBSET_METHODS:
         trace = moea.evolve_on_context(ctx, cfg)
         features = trace.selected_features()
-        if features.size == 0:  # every merit was 0, so the empty set won
+        if trace.best.merit == 0:  # every front member has merit 0
             n = ctx.eval_rows.n_rows
             raise PermselError(f"{method.kind} found no subset with nonzero merit "
                                f"on {n} evaluation row{'' if n == 1 else 's'}")
@@ -407,13 +410,16 @@ def _cell_rows(dataset_spec: DatasetSpec, dataset: Dataset, seed: int,
 def run_experiment(cfg: ExperimentConfig) -> list[ReportRow]:
     """Run the full protocol; returns all report rows, sorted canonically.
 
-    Each (dataset, seed) cell is one pool task. When ``cfg.output_dir``
-    is set, reports, traces, and summary tables are written beneath it.
+    Each (dataset, seed) cell is one task. With ``cfg.workers`` above 1
+    on an interpreter whose GIL is off, up to that many cells run at once
+    in a thread pool; otherwise they run in the calling thread in job
+    order. When ``cfg.output_dir`` is set, reports, traces, and summary
+    tables are written beneath it.
     """
     cfg.validate()
     datasets = [(spec, spec.load()) for spec in cfg.datasets]
     jobs = [(spec, ds, seed) for spec, ds in datasets for seed in cfg.seeds]
-    if cfg.workers > 1:
+    if cfg.workers > 1 and not _gil_enabled():
         with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
             results = list(pool.map(lambda job: _cell_rows(*job, cfg), jobs))
     else:
@@ -427,6 +433,12 @@ def run_experiment(cfg: ExperimentConfig) -> list[ReportRow]:
     if cfg.output_dir is not None:
         write_outputs(cfg.output_dir, rows, traces)
     return rows
+
+
+def _gil_enabled() -> bool:
+    """Whether the GIL is on now. A free-threaded build can turn it back
+    on at run time (an extension that needs it), so ask at each call."""
+    return getattr(sys, "_is_gil_enabled", lambda: True)()
 
 
 def write_outputs(output_dir, rows: list[ReportRow],

@@ -181,14 +181,30 @@ class TestRunExperiment:
         assert len(trace["hypervolume"]) == 4
         assert (out / "summary" / "means.csv").exists()
 
+    @pytest.mark.parametrize("gil", [True, False], ids=["gil", "free-threaded"])
     @pytest.mark.parametrize("workers", [4, 8])
-    def test_reproducible_across_worker_counts(self, tmp_path, workers):
-        # one pool task per seed, so every worker has a task to run
+    def test_reproducible_across_worker_counts(self, tmp_path, monkeypatch,
+                                               workers, gil):
+        # under the GIL the cells run in the calling thread and no pool is
+        # built; without it, one pool task per seed, so every worker has a
+        # task to run
+        pools = []
+
+        class Pool(runner.ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                if gil:
+                    raise AssertionError("a pool was built under the GIL")
+                pools.append(kwargs["max_workers"])
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(runner, "_gil_enabled", lambda: gil)
+        monkeypatch.setattr(runner, "ThreadPoolExecutor", Pool)
         seeds = range(workers)
         out1 = tmp_path / "w1"
         outn = tmp_path / f"w{workers}"
         run_experiment(_mini_config(tmp_path, seeds=seeds, out=out1, workers=1))
         run_experiment(_mini_config(tmp_path, seeds=seeds, out=outn, workers=workers))
+        assert pools == ([] if gil else [workers])
         lines1 = (out1 / "reports" / "report.csv").read_text().splitlines()
         linesn = (outn / "reports" / "report.csv").read_text().splitlines()
         header = lines1[0].split(",")
@@ -680,12 +696,13 @@ class TestRunSelection:
             assert sel.trace.config == MoeaConfig(generations=1, seed=2,
                                                   variant=variant)
 
-    def test_empty_subset_names_its_cause(self, tmp_path):
+    @staticmethod
+    def _six_row_statuses(tmp_path, width):
         # 6 rows split 4/1/1: shuffling one validation row changes nothing,
         # so every v1 merit is 0; v2 scores on 5 rows and stays ok
         rng = np.random.default_rng(0)
-        ds = Dataset(rng.standard_normal((6, 3)), rng.standard_normal(6),
-                     Task.REGRESSION, ["a", "b", "c"])
+        ds = Dataset(rng.standard_normal((6, width)), rng.standard_normal(6),
+                     Task.REGRESSION, [f"f{j}" for j in range(width)])
         path = tmp_path / "six.csv"
         write_csv(ds, path)
         cfg = ExperimentConfig(
@@ -698,6 +715,14 @@ class TestRunSelection:
             ("subset-v1", "error",
              "subset-v1 found no subset with nonzero merit on 1 evaluation row")] * 2 \
             + [("subset-v2", "ok", "")] * 2
+
+    def test_empty_subset_names_its_cause(self, tmp_path):
+        # with 3 columns the empty set's exact 0 wins
+        self._six_row_statuses(tmp_path, 3)
+
+    def test_zero_merit_subset_names_its_cause(self, tmp_path):
+        # with 12 columns the pick is a nonempty subset whose merit is 0
+        self._six_row_statuses(tmp_path, 12)
 
 
 class TestSharedContext:
