@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import enum
-import itertools
 from array import array
 from dataclasses import dataclass
 
@@ -73,9 +72,13 @@ class Dataset:
             raise DatasetError("feature matrix contains non-finite values")
         if len(feature_names) != X.shape[1]:
             raise DatasetError("feature_names length does not match column count")
+        y = np.asarray(y)
         if y.shape != (X.shape[0],):
             raise DatasetError("target length does not match row count")
         if task is Task.CLASSIFICATION:
+            if y.dtype.kind == "f" and not (np.isfinite(y) & (y == np.trunc(y))).all():
+                raise DatasetError(
+                    "classification target holds a value that is not a whole number")
             y = np.asarray(y, dtype=np.int64)
             if class_names is None or len(class_names) < 2:
                 raise SingleClassError("classification needs at least two classes")
@@ -156,28 +159,41 @@ class SyntheticSpec:
 
 
 def load_csv(path, task: Task, target_col: int | None = None) -> Dataset:
-    """Load a headered CSV into a Dataset in one streaming pass.
+    """Load a headered CSV into a Dataset.
 
-    The target column defaults to the last one. Rows are read one at a
-    time: the feature cells of a row are stripped and parsed with
-    ``float()`` into a growing float64 buffer, which becomes the feature
-    matrix without a copy, and only the target cells are kept as strings
-    until the last row. So one row of cells at a time is held as Python
-    strings. Feature cells must be numeric; empty cells and short or
-    long rows are rejected, naming the 1-based row (the header is row 1)
-    and column. Classification labels are mapped to 0..q-1 in
+    The target column defaults to the last one. The header and the first
+    data row are read with ``csv`` and checked. The data rows are then
+    read by one of two paths, chosen from the input alone, which give the
+    same arrays and the same errors:
+
+    - numpy's C parser (``_read_plain``) parses the feature cells
+      straight into the float64 feature matrix, keeping only the target
+      cells as strings. It takes plain rows only: no quote character,
+      one comma per column boundary, a non-empty target cell and no cell
+      over ``csv.field_size_limit()``.
+    - The streaming loop (``_read_rows``) reads the file whenever a row
+      is not plain or the C parser fails on it (``1_0``, Unicode digits,
+      a bad cell or a byte that is not UTF-8). It parses each row's
+      stripped feature cells with ``float()``, holding one row of cells
+      as Python strings at a time, and is the only place a row is
+      rejected.
+
+    Feature cells must be numeric; empty cells and short or long rows
+    are rejected, naming the 1-based row (the header is row 1) and
+    column. Classification labels are mapped to 0..q-1 in
     first-appearance order. Regression targets are parsed after the last
     row, so a bad feature cell on any row is reported before a
     non-numeric target. A byte that is not UTF-8, or a cell over the csv
     module's size limit, raises a DatasetError naming the file.
     """
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = _csv_rows(fh, path)
+        # readline, not iteration, so that tell() can mark the first row
+        reader = _csv_rows(iter(fh.readline, ""), path)
         header = next(reader, None)
         if header is None:
             raise EmptyDataError(f"{path}: empty file")
-        first = next(reader, None)
-        if first is None:
+        start = fh.tell()
+        if next(reader, None) is None:
             raise EmptyDataError(f"{path}: no data rows")
         n_cols = len(header)
         if n_cols < 2:
@@ -186,21 +202,13 @@ def load_csv(path, task: Task, target_col: int | None = None) -> Dataset:
         if not (0 <= tcol < n_cols):
             raise DatasetError(f"target column {tcol} out of range")
 
-        values = array("d")
-        raw_targets: list[str] = []
-        for line, row in enumerate(itertools.chain([first], reader), start=2):
-            if len(row) != n_cols:
-                raise MissingValueError(line, len(row) + 1)
-            target = row.pop(tcol).strip()
-            try:
-                values.extend(map(float, map(str.strip, row)))
-            except ValueError:
-                raise _cell_error(line, row, tcol) from None
-            if target == "":
-                raise MissingValueError(line, tcol + 1)
-            raw_targets.append(target)
+        fh.seek(start)
+        rows = _read_plain(fh, n_cols, tcol)
+        if rows is None:
+            fh.seek(start)
+            rows = _read_rows(_csv_rows(fh, path), n_cols, tcol)
+    X, raw_targets = rows
 
-    X = np.frombuffer(values, dtype=float).reshape(len(raw_targets), n_cols - 1)
     feature_names = header[:tcol] + header[tcol + 1:]
     target_name = header[tcol]
     if task is Task.CLASSIFICATION:
@@ -218,10 +226,83 @@ def load_csv(path, task: Task, target_col: int | None = None) -> Dataset:
     return Dataset(X, y, task, feature_names, None, target_name)
 
 
-def _csv_rows(fh, path):
+class _NotPlain(ValueError):
+    """A row that numpy's parser could read differently from the loop."""
+
+
+def _read_plain(fh, n_cols: int, tcol: int):
+    """The feature matrix and the stripped target cells of the rows left
+    in ``fh``, read by ``np.loadtxt``; None when a row is not plain (see
+    ``load_csv``) or the parser fails.
+
+    A plain row splits into the same cells under ``csv`` and under
+    ``loadtxt``, which parses a cell with the same
+    ``PyOS_string_to_double`` as ``float()`` or rejects it.
+    """
+    limit = csv.field_size_limit()
+    raw_targets: list[str] = []
+
+    def lines():
+        for line in fh:
+            if ('"' in line or line.count(",") != n_cols - 1
+                    or _has_long_cell(line, limit)):
+                raise _NotPlain
+            target = (line.rpartition(",")[2] if tcol == n_cols - 1
+                      else line.split(",", tcol + 1)[tcol]).strip()
+            if target == "":
+                raise _NotPlain
+            raw_targets.append(target)
+            yield line
+
+    try:
+        X = np.loadtxt(lines(), dtype=float, delimiter=",", comments=None,
+                       quotechar=None, ndmin=2,
+                       usecols=[j for j in range(n_cols) if j != tcol])
+    except ValueError:      # _NotPlain, a parse failure or a non-UTF-8 byte
+        return None
+    return X, raw_targets
+
+
+def _has_long_cell(line: str, limit: int) -> bool:
+    """Whether a comma-free run of ``line`` is over ``limit`` characters.
+
+    Every such run covers a nonzero multiple of ``limit``, so only the
+    runs at those offsets are measured: a couple of C-level searches per
+    line in place of a split. The line ending counts towards the last
+    cell, which only sends a cell within two characters of the limit to
+    the loop.
+    """
+    for at in range(limit, len(line), limit):
+        end = line.find(",", at)
+        if (len(line) if end < 0 else end) - line.rfind(",", 0, at) - 1 > limit:
+            return True
+    return False
+
+
+def _read_rows(rows, n_cols: int, tcol: int):
+    """The streaming loop: the feature matrix and the stripped target
+    cells of ``rows``, the csv rows from the first data row on."""
+    values = array("d")
+    raw_targets: list[str] = []
+    for line, row in enumerate(rows, start=2):
+        if len(row) != n_cols:
+            raise MissingValueError(line, len(row) + 1)
+        target = row.pop(tcol).strip()
+        try:
+            values.extend(map(float, map(str.strip, row)))
+        except ValueError:
+            raise _cell_error(line, row, tcol) from None
+        if target == "":
+            raise MissingValueError(line, tcol + 1)
+        raw_targets.append(target)
+    X = np.frombuffer(values, dtype=float).reshape(len(raw_targets), n_cols - 1)
+    return X, raw_targets
+
+
+def _csv_rows(lines, path):
     """The rows of ``csv.reader``; a decoding or csv fault names the file."""
     try:
-        yield from csv.reader(fh)
+        yield from csv.reader(lines)
     except (UnicodeDecodeError, csv.Error) as exc:
         raise DatasetError(f"{path}: {exc}") from None
 

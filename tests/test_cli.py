@@ -221,7 +221,8 @@ class TestErrors:
         assert lines[0].startswith(f"permsel: error: {report}: ")
         assert not (tmp_path / "summary").exists()
 
-    @pytest.mark.parametrize("fault", ["latin1", "long_cell", "missing"])
+    @pytest.mark.parametrize("fault", ["latin1", "long_cell", "missing",
+                                       "latin1_late", "long_cell_late"])
     @pytest.mark.parametrize("command", ["rank", "select", "run"])
     def test_file_fault_is_one_line(self, tmp_path, capsys, command, fault):
         data = tmp_path / "data.csv"
@@ -229,6 +230,11 @@ class TestErrors:
             data.write_bytes(b"a,b,target\n1,2,3\n1,2,caf\xe9\n")
         elif fault == "long_cell":
             data.write_text("a,b,target\n1," + "9" * 131073 + ",3\n")
+        elif fault == "latin1_late":
+            # past the first 8 KiB, which reading the header decodes
+            data.write_bytes(b"a,b,target\n" + b"1,2,3\n" * 2000 + b"1,2,caf\xe9\n")
+        elif fault == "long_cell_late":
+            data.write_text("a,b,target\n1,2,3\n1,2,3\n1," + "9" * 131073 + ",3\n")
         if command == "run":
             cfg_path = tmp_path / "cfg.json"
             cfg_path.write_text(json.dumps({
@@ -244,6 +250,10 @@ class TestErrors:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("permsel: error: ") and str(data) in lines[0]
+        if fault.startswith("latin1"):
+            assert "can't decode byte 0xe9" in lines[0]
+        elif fault.startswith("long_cell"):
+            assert "field larger than field limit (131072)" in lines[0]
 
     @pytest.mark.parametrize("argv, message", [
         (["select", "--variant", "v1", "--pop", "3"],

@@ -1,8 +1,10 @@
+import csv
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from permsel import dataset as dataset_mod
 from permsel.dataset import (
     Dataset,
     SyntheticSpec,
@@ -27,6 +29,26 @@ def _write(tmp_path, text, name="data.csv"):
     p = tmp_path / name
     p.write_text(text, encoding="utf-8")
     return p
+
+
+class TestDatasetInit:
+    def test_list_target_loads(self):
+        ds = Dataset(np.zeros((3, 2)), [1.0, 2.0, 3.0], Task.REGRESSION, ["a", "b"])
+        assert ds.y.dtype == float and ds.y.tolist() == [1.0, 2.0, 3.0]
+
+    def test_wrong_length_list_target(self):
+        with pytest.raises(DatasetError, match="target length"):
+            Dataset(np.zeros((3, 2)), [1.0, 2.0], Task.REGRESSION, ["a", "b"])
+
+    @pytest.mark.parametrize("y", [[0.5, 1.0, 0.0], [0.0, 1.0, np.nan], [0.0, 1.0, np.inf]])
+    def test_classification_target_must_be_whole(self, y):
+        with pytest.raises(DatasetError, match="not a whole number"):
+            Dataset(np.zeros((3, 1)), np.array(y), Task.CLASSIFICATION, ["a"], ["x", "y"])
+
+    def test_whole_float_classes_load(self):
+        ds = Dataset(np.zeros((3, 1)), np.array([1.0, 0.0, 1.0]), Task.CLASSIFICATION,
+                     ["a"], ["x", "y"])
+        assert ds.y.dtype == np.int64 and ds.y.tolist() == [1, 0, 1]
 
 
 class TestLoadCsv:
@@ -159,6 +181,15 @@ LOADER_CORPUS = {
     "one_column_no_rows": ("t\n", REG, None),
     "one_column_with_rows": ("t\n1\n2\n", REG, None),
     "one_column_bad_rows": ("t\n1,2\n", CLS, None),
+    "whitespace_line": ("a,t\n1,2\n \t\n3,4\n", REG, None),
+    "trailing_comma": ("a,b,t\n1,2,3\n4,5,6,\n", REG, None),
+    "cr_line_endings": ("a,b,t\r1,2,3\r4,5,6\r", REG, None),
+    "no_final_newline": ("a,b,t\n1,2,3\n4,5,6", REG, None),
+    "bom_header": ("\ufeffa,t\n1,x\n2,y\n", CLS, None),
+    "quoted_label": ('x,label\n1,a\n2,"b"\n3,a\n', CLS, None),
+    "long_row_middle_label": ("a,t,b\n1,x,2\n3,y,4,5\n", CLS, 1),
+    "underscore_later_row": ("a,t\n1,2\n1_0,3\n", REG, None),
+    "unicode_digits_later_row": ("a,t\n1,2\n\u0661\u0662.5,3\n", REG, None),
 }
 
 
@@ -194,6 +225,58 @@ class TestLoadCsvMatchesReference:
             load_csv(p, Task.REGRESSION)
         assert (want.value.row, got.value.row) == (0, 3)
         assert (got.value.col, got.value.value) == (want.value.col, want.value.value)
+
+
+class TestLoadCsvPaths:
+    @pytest.fixture
+    def loop_raises(self, monkeypatch):
+        class Streamed(Exception):
+            pass
+
+        def boom(*args):
+            raise Streamed
+        monkeypatch.setattr(dataset_mod, "_read_rows", boom)
+        return Streamed
+
+    def test_plain_csv_skips_the_loop(self, tmp_path, loop_raises):
+        p = _write(tmp_path, "a,t,b\n1.5, x ,-2\n3e2,y,4\n")
+        ds = load_csv(p, Task.CLASSIFICATION, target_col=1)
+        assert ds.X.tolist() == [[1.5, -2.0], [300.0, 4.0]]
+        assert ds.class_names == ["x", "y"]
+
+    def test_quoted_csv_takes_the_loop(self, tmp_path, loop_raises):
+        p = _write(tmp_path, 'a,t\n1,2\n"3",4\n')
+        with pytest.raises(loop_raises):
+            load_csv(p, Task.REGRESSION)
+
+    def test_long_lines_of_short_cells_skip_the_loop(self, tmp_path, loop_raises):
+        # every line is over the csv field limit, but no cell is
+        X = np.random.default_rng(2).standard_normal((3, 8000))
+        p = _write(tmp_path, "\n".join(
+            [",".join(f"f{j}" for j in range(8000)) + ",t"]
+            + [",".join(map(repr, row.tolist())) + f",{i}" for i, row in enumerate(X)]))
+        assert len(p.read_text().splitlines()[1]) > csv.field_size_limit()
+        ds = load_csv(p, Task.REGRESSION)
+        assert ds.X.tobytes() == X.tobytes()
+
+    def test_cell_size_limit_holds_on_every_row(self, tmp_path):
+        # cells of 1-12 characters against a limit of 8: a row with a
+        # longer cell fails as in csv, wherever the cell is in the line
+        rng = np.random.default_rng(4)
+        old = csv.field_size_limit(8)
+        try:
+            for trial in range(60):
+                cells = ["1" * int(n) for n in rng.integers(1, 10 + trial % 4, size=12)]
+                rows = [",".join(cells[i:i + 4]) for i in range(0, 12, 4)]
+                p = _write(tmp_path, "a,b,c,t\n" + "\n".join(rows) + "\n")
+                if max(map(len, cells)) > 8:
+                    with pytest.raises(DatasetError, match=r"field limit \(8\)"):
+                        load_csv(p, Task.REGRESSION)
+                else:
+                    want = load_csv_reference(p, Task.REGRESSION)
+                    assert load_csv(p, Task.REGRESSION).X.tobytes() == want.X.tobytes()
+        finally:
+            csv.field_size_limit(old)
 
 
 class TestLoadCsvMemory:
