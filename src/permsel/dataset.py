@@ -168,9 +168,11 @@ def load_csv(path, task: Task, target_col: int | None = None) -> Dataset:
 
     - numpy's C parser (``_read_plain``) parses the feature cells
       straight into the float64 feature matrix, keeping only the target
-      cells as strings. It takes plain rows only: no quote character,
-      one comma per column boundary, a non-empty target cell and no cell
-      over ``csv.field_size_limit()``.
+      cells as strings. It takes plain files only, checked row by row in
+      one scan before it parses any: no quote character, one comma per
+      column boundary, a non-empty target cell, no carriage return but
+      one before a line's final line feed, and no cell over
+      ``csv.field_size_limit()``.
     - The streaming loop (``_read_rows``) reads the file whenever a row
       is not plain or the C parser fails on it (``1_0``, Unicode digits,
       a bad cell or a byte that is not UTF-8). It parses each row's
@@ -202,8 +204,7 @@ def load_csv(path, task: Task, target_col: int | None = None) -> Dataset:
         if not (0 <= tcol < n_cols):
             raise DatasetError(f"target column {tcol} out of range")
 
-        fh.seek(start)
-        rows = _read_plain(fh, n_cols, tcol)
+        rows = _read_plain(path, n_cols, tcol)
         if rows is None:
             fh.seek(start)
             rows = _read_rows(_csv_rows(fh, path), n_cols, tcol)
@@ -226,55 +227,70 @@ def load_csv(path, task: Task, target_col: int | None = None) -> Dataset:
     return Dataset(X, y, task, feature_names, None, target_name)
 
 
-class _NotPlain(ValueError):
-    """A row that numpy's parser could read differently from the loop."""
+def _read_plain(path, n_cols: int, tcol: int):
+    """The feature matrix and the stripped target cells of the data rows
+    of the file, read by ``np.loadtxt``; None when a row is not plain
+    (see ``load_csv``) or the parser fails.
 
-
-def _read_plain(fh, n_cols: int, tcol: int):
-    """The feature matrix and the stripped target cells of the rows left
-    in ``fh``, read by ``np.loadtxt``; None when a row is not plain (see
-    ``load_csv``) or the parser fails.
-
-    A plain row splits into the same cells under ``csv`` and under
-    ``loadtxt``, which parses a cell with the same
+    The file is read as bytes. Every row is checked, and its target cell
+    kept, in one scan before the parser reads any, so a row that is not
+    plain costs a scan up to it, never a parse of the rows before it. A
+    header or row holding a carriage return anywhere but before its final
+    line feed is not plain either, so that a line of bytes is the line
+    that ``csv`` reads. A plain row splits into the same cells under
+    ``csv`` and under ``loadtxt``, which parses a cell with the same
     ``PyOS_string_to_double`` as ``float()`` or rejects it.
     """
     limit = csv.field_size_limit()
     raw_targets: list[str] = []
-
-    def lines():
+    with open(path, "rb") as fh:
+        header = fh.readline()
+        if b'"' in header or _has_stray_cr(header):
+            return None
+        start = fh.tell()
         for line in fh:
-            if ('"' in line or line.count(",") != n_cols - 1
+            if (b'"' in line or line.count(b",") != n_cols - 1 or _has_stray_cr(line)
                     or _has_long_cell(line, limit)):
-                raise _NotPlain
-            target = (line.rpartition(",")[2] if tcol == n_cols - 1
-                      else line.split(",", tcol + 1)[tcol]).strip()
+                return None
+            target = line.rpartition(b",")[2] if tcol == n_cols - 1 \
+                else line.split(b",", tcol + 1)[tcol]
+            try:
+                target = target.decode("utf-8").strip()
+            except UnicodeDecodeError:
+                return None
             if target == "":
-                raise _NotPlain
+                return None
             raw_targets.append(target)
-            yield line
-
-    try:
-        X = np.loadtxt(lines(), dtype=float, delimiter=",", comments=None,
-                       quotechar=None, ndmin=2,
-                       usecols=[j for j in range(n_cols) if j != tcol])
-    except ValueError:      # _NotPlain, a parse failure or a non-UTF-8 byte
-        return None
+        fh.seek(start)
+        try:
+            X = np.loadtxt(fh, dtype=float, delimiter=",", comments=None,
+                           quotechar=None, ndmin=2, encoding="utf-8",
+                           usecols=[j for j in range(n_cols) if j != tcol])
+        except ValueError:  # a cell the parser rejects, or a byte that is not UTF-8
+            return None
     return X, raw_targets
 
 
-def _has_long_cell(line: str, limit: int) -> bool:
-    """Whether a comma-free run of ``line`` is over ``limit`` characters.
+def _has_stray_cr(line: bytes) -> bool:
+    """Whether ``line`` holds a carriage return that does not end it
+    before its line feed (where ``csv`` would see a line break)."""
+    at = line.find(b"\r")
+    return at >= 0 and not (at == len(line) - 2 and line.endswith(b"\n"))
+
+
+def _has_long_cell(line: bytes, limit: int) -> bool:
+    """Whether a comma-free run of ``line`` is over ``limit`` bytes.
 
     Every such run covers a nonzero multiple of ``limit``, so only the
     runs at those offsets are measured: a couple of C-level searches per
     line in place of a split. The line ending counts towards the last
-    cell, which only sends a cell within two characters of the limit to
-    the loop.
+    cell, and a character outside ASCII counts as its UTF-8 bytes, which
+    only sends a cell near the limit (counted in characters by ``csv``)
+    to the loop.
     """
     for at in range(limit, len(line), limit):
-        end = line.find(",", at)
-        if (len(line) if end < 0 else end) - line.rfind(",", 0, at) - 1 > limit:
+        end = line.find(b",", at)
+        if (len(line) if end < 0 else end) - line.rfind(b",", 0, at) - 1 > limit:
             return True
     return False
 

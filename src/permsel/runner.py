@@ -47,7 +47,7 @@ from .dataset import (
     load_csv,
     split,
 )
-from .errors import PermselError, ZeroVarianceError, is_int
+from .errors import AnalysisError, PermselError, ZeroVarianceError, is_int
 from .learner import LearnerSpec
 from .metrics import Metric, accuracy, balanced_accuracy, nrmse, r_squared, rmse
 from .moea import MoeaConfig, RunTrace
@@ -546,7 +546,10 @@ def aggregate(rows: list[ReportRow]) -> dict:
         for stem, kind in _OVERFIT_SPECS[task]:
             train, test = rec[f"mean_{stem}_train"], rec[f"mean_{stem}_test"]
             if train is not None and test is not None:
-                over[kind.value] = overfit_ratio(train, test, kind)
+                try:
+                    over[kind.value] = overfit_ratio(train, test, kind)
+                except AnalysisError:  # a zero denominator: left empty
+                    pass
         tables["overfitting"].append(over)
 
     for task, metric_specs in _TEST_METRICS.items():

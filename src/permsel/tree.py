@@ -192,13 +192,6 @@ class ForestPaths(NamedTuple):
     nodes: np.ndarray
 
 
-def _leaf_value(y, classification: bool, class_count: int) -> float:
-    if classification:
-        counts = np.bincount(y.astype(np.int64, copy=False), minlength=class_count)
-        return float(np.argmax(counts))  # argmax -> lowest class wins ties
-    return float(y.sum() / y.size)  # np.mean's sum and division
-
-
 # Elements (nodes x candidates x padded width) that one search block may
 # hold; a classification block shares it among its class planes.
 _BUDGET = 1 << 14
@@ -401,31 +394,156 @@ def _search_block(search, nodes):
                    else None for i in range(B)]
 
 
+def _floyd(v, m):
+    """The ascending sets that Floyd's algorithm makes of the rows of v,
+    where ``v[:, t]`` was drawn from [0, m - k + t] (k columns).
+
+    Floyd's step t takes ``v[:, t]``, or ``m - k + t`` when that value is
+    taken already. A value below m - k can only have been taken as an
+    earlier draw. A value ``m - k + u`` (u < t) is taken when an earlier
+    draw equals it (only draws u and later can) or when step u took it
+    in place of a collision, so ``collided[t] = seen[t] or (collided[u]
+    when v[t] = m - k + u, u < t)``. That chain is followed in rounds over
+    all rows at once, each round one link deeper, until nothing changes.
+    """
+    n, k = v.shape
+    t = np.arange(k)
+    first = np.arange(0, n * k, k)[:, None]   # flat index of each row's draw 0
+    # seen[r, t]: draw t of row r repeats an earlier draw of the row (the
+    # keys v * k + t sort each row by value, then by draw)
+    key = v * k + t
+    key.sort(axis=1)
+    value, draw = np.divmod(key, k)
+    seen = np.zeros(n * k, dtype=bool)
+    seen[draw[:, 1:] + first] = value[:, 1:] == value[:, :-1]
+    seen = seen.reshape(n, k)
+    u = v - (m - k)
+    chained = (u >= 0) & (u < t)
+    link = np.where(chained, u, 0) + first
+    collided = seen
+    while True:
+        deeper = seen | chained & collided.reshape(-1)[link]
+        if np.array_equal(deeper, collided):
+            break
+        collided = deeper
+    return np.sort(np.where(collided, m - k + t, v), axis=1)
+
+
+def _draw_candidates(growths):
+    """Give every growth that draws its candidates in chunks the sorted
+    candidate sets of its next ``_CANDIDATE_CHUNK`` nodes, from one
+    ``rng.integers`` call per tree.
+
+    They are the sets that as many calls of ``np.sort(rng.choice(m, k,
+    replace=False))`` return, and the stream ends where theirs does:
+    ``choice`` runs Floyd's algorithm, which draws from [0, j] for
+    j = m - k ... m - 1, and then shuffles the k values it took, drawing
+    from [0, i] for i = k - 1 ... 1. The shuffle does not change the
+    sorted set, so only its draws are taken. The collisions are resolved
+    (``_floyd``) for the trees of one (pool size, k) at once, in blocks
+    of at most ``_BUDGET`` candidates.
+    """
+    chunk = _CANDIDATE_CHUNK
+    by_shape = {}
+    for g in growths:
+        if g.chunked:
+            by_shape.setdefault((g.pool.size, g.max_features), []).append(g)
+    for (m, k), group in by_shape.items():
+        bounds = np.tile(np.concatenate((np.arange(m - k + 1, m + 1),
+                                         np.arange(k, 1, -1))), chunk)
+        step = max(1, _BUDGET // (chunk * k))
+        for lo in range(0, len(group), step):
+            block = group[lo:lo + step]
+            v = np.stack([g.rng.integers(0, bounds).reshape(chunk, -1)[:, :k]
+                          for g in block])
+            sets = _floyd(v.reshape(-1, k), m).reshape(v.shape)
+            for g, s in zip(block, sets):
+                g.drawn = g.pool[s]
+
+
+def _partition(X, split, splits, kept):
+    """The rows of all the nodes of a step in one array, and the edges of
+    its segments: node i of ``split`` is cut on ``splits[i] = (feature,
+    threshold)`` into its right rows, then its left ones (``x <=
+    threshold``), each in their order, and each node of ``kept`` follows
+    whole. The right child comes first because it is pushed first, so
+    that the left subtree grows first."""
+    rows = np.concatenate(split + kept)
+    edges = np.concatenate(([0], np.cumsum([r.size for r in split + kept])))
+    S = len(split)
+    if not S:
+        return rows, edges
+    feature = np.array([f for f, _ in splits])
+    threshold = np.array([thr for _, thr in splits])
+    seg = np.repeat(np.arange(S, dtype=np.int32), np.diff(edges[:S + 1]))
+    ns = seg.size
+    goes_left = X[rows[:ns], feature[seg]] <= threshold[seg]
+    rows[:ns] = rows[:ns][np.argsort(2 * seg + goes_left, kind="stable")]
+    cuts = np.empty(2 * S, dtype=edges.dtype)
+    cuts[0::2] = edges[:S]
+    cuts[1::2] = edges[1:S + 1] - np.add.reduceat(goes_left, edges[:S], dtype=edges.dtype)
+    return rows, np.concatenate((cuts, edges[S:]))
+
+
+def _settle(search, rows, edges, leaf):
+    """Leaf flags and leaf values of the nodes whose rows are
+    ``rows[edges[i]:edges[i + 1]]`` (none empty). A node is a leaf where
+    ``leaf`` says so or where all its targets are equal; ``values`` holds
+    each leaf's value (and any value elsewhere)."""
+    y = search.target[rows]
+    lo = edges[:-1]
+    leaf = leaf | (np.minimum.reduceat(y, lo) == np.maximum.reduceat(y, lo))
+    sizes = np.diff(edges)
+    if search.classification:
+        q = search.class_count
+        counts = np.bincount(np.repeat(np.arange(0, q * sizes.size, q), sizes) + y,
+                             minlength=q * sizes.size)
+        # argmax -> lowest class wins ties
+        return leaf, counts.reshape(-1, q).argmax(axis=1).astype(float)
+    # np.mean's sum and division: a one-row leaf's is y + 0.0 (the mean of
+    # a single -0.0 is 0.0), and numpy sums 3 or more values in another
+    # order than a running sum, so each larger leaf takes its own
+    values = y[lo] + 0.0
+    for i in np.flatnonzero(leaf & (sizes > 1)).tolist():
+        values[i] = y[edges[i]:edges[i + 1]].sum() / sizes[i]
+    return leaf, values
+
+
 class _Growth:
     """One tree being grown: its stream, its candidate pool (ascending
     columns of X) and how many candidates a node draws from it, its
-    depth-first stack of (node, rows, depth) and its node arrays. The
-    arrays start small and double when a split needs room; a split node
-    records the column of X it tests until ``tree`` maps it into the
-    pool."""
+    depth-first stack of the (node, rows, depth) that need a split
+    search, and its node arrays. A tree whose nodes draw from a part of
+    the pool through Floyd's algorithm draws them ``_CANDIDATE_CHUNK``
+    nodes at a time (``chunked``; ``drawn`` holds the sets). The arrays
+    start small and double when a split needs room; a split node records
+    the column of X it tests until ``tree`` maps it into the pool."""
 
-    __slots__ = ("rng", "pool", "max_features", "stack", "size", "feature",
-                 "threshold", "left", "value")
+    __slots__ = ("rng", "pool", "max_features", "chunked", "drawn", "stack", "size",
+                 "feature", "threshold", "left", "value")
 
-    def __init__(self, rng, rows, pool, max_features):
+    def __init__(self, rng, pool, max_features):
         self.rng = rng
         self.pool = pool
-        self.max_features = max_features
-        self.stack = [(0, rows, 0)]
+        self.max_features = k = max_features
+        m = pool.size
+        # above 10000 columns numpy's choice shuffles the tail of the pool
+        # in place of Floyd's algorithm once k > m // 50
+        self.chunked = k < m and not (m > 10000 and k > m // 50)
+        self.drawn = None
+        self.stack = []
         self.size = 1
         self.feature = np.full(_FIRST_NODES, _LEAF, dtype=np.int32)
         self.threshold = np.zeros(_FIRST_NODES)
         self.left = np.full(_FIRST_NODES, _LEAF, dtype=np.int32)
         self.value = np.zeros(_FIRST_NODES)
 
-    def candidates(self):
-        """The ascending columns of X that the next node searches."""
+    def candidates(self, step):
+        """The ascending columns of X that the node searched at ``step``
+        (counted from the first step of its group) searches."""
         k, m = self.max_features, self.pool.size
+        if self.chunked:
+            return self.drawn[step % _CANDIDATE_CHUNK]
         if k < m:
             return self.pool[np.sort(self.rng.choice(m, size=k, replace=False))]
         return self.pool
@@ -461,6 +579,8 @@ _FIRST_NODES = 64
 # Trees x rows that grow in one lockstep group: the trees of a group
 # hold their stacks and node arrays at once
 _GROUP_ROWS = 1 << 15
+# Nodes whose candidate sets a tree draws at once
+_CANDIDATE_CHUNK = 16
 
 
 def grow_forest(X, y, rngs, pools, max_features, *, bootstrap: bool,
@@ -474,12 +594,14 @@ def grow_forest(X, y, rngs, pools, max_features, *, bootstrap: bool,
     Tree t is the tree that a one-at-a-time growth on
     ``X[:, pools[t]]`` would give: it keeps its own depth-first stack
     (left child first) and its own stream, and its features index its
-    pool. A step pops the next node of every tree that needs a split
-    search (settling the leaves on the way), and searches all of those
-    nodes in one ``_best_splits`` call. The searches read the rank table
+    pool. A step pops the next node of every tree and searches them all
+    in one ``_best_splits`` call. The winning splits partition all their
+    rows in one stable pass, and their children are settled at once
+    (``_settle``), so that a stack holds only nodes that need a search;
+    the roots are settled the same way. The searches read the rank table
     of X, built once here; a column's ranks do not depend on the other
-    columns. X itself is read only at the rows that place a threshold
-    and when a node is split. The trees grow in groups of at most
+    columns. X itself is read only at the rows that place a threshold and
+    when a node is split. The trees grow in groups of at most
     ``_GROUP_ROWS`` rows in all (at least one tree each), one group after
     the other, and a tree is copied out of its growth arrays as soon as
     it is done.
@@ -488,39 +610,55 @@ def grow_forest(X, y, rngs, pools, max_features, *, bootstrap: bool,
     search = _Search(X, y, classification, class_count)
     n = X.shape[0]
     every_row = np.arange(n)
-    step = max(1, _GROUP_ROWS // n)
     trees = [None] * len(rngs)
-    for lo in range(0, len(rngs), step):
-        live = [(t, _Growth(rng, rng.integers(0, n, size=n) if bootstrap
-                            else every_row, pools[t], max_features[t]))
-                for t, rng in enumerate(rngs[lo:lo + step], lo)]
-        while live:
-            items = []
+
+    def settle(items, rows, edges):
+        """Settle the nodes ``items[i] = (g, node, depth)`` whose rows are
+        ``rows[edges[i]:edges[i + 1]]``: record the value of a leaf and
+        push every other node, in order. A node of infinite depth (one
+        whose search found no split) is a leaf."""
+        depth = np.array([d for _, _, d in items], dtype=float)
+        leaf, values = _settle(search, rows, edges, (np.diff(edges) < min_samples_split)
+                               | (depth >= depth_limit))
+        for (g, node, d), is_leaf, value, a, b in zip(
+                items, leaf.tolist(), values.tolist(), edges.tolist(), edges[1:].tolist()):
+            if is_leaf:
+                g.value[node] = value
+            else:  # a copy, so that the step's array goes once its nodes are popped
+                g.stack.append((node, rows[a:b].copy(), d))
+
+    group = max(1, _GROUP_ROWS // n)
+    for lo in range(0, len(rngs), group):
+        live = [(t, _Growth(rngs[t], pools[t], max_features[t]))
+                for t in range(lo, min(lo + group, len(rngs)))]
+        settle([(g, 0, 0) for _, g in live],
+               np.concatenate([g.rng.integers(0, n, size=n) if bootstrap else every_row
+                               for _, g in live]),
+               np.arange(0, n * len(live) + 1, n))
+        step = 0
+        while True:
             for t, g in live:
-                while g.stack:
-                    node, rows, depth = g.stack.pop()
-                    y_node = y[rows]
-                    if (rows.size < min_samples_split or depth >= depth_limit
-                            or (y_node == y_node[0]).all()):
-                        g.value[node] = _leaf_value(y_node, classification,
-                                                    class_count)
-                        continue
-                    items.append((t, g, node, rows, depth, g.candidates()))
-                    break
-                else:  # every node is settled: copy the tree out of its arrays
+                if not g.stack:  # every node is settled: copy the tree out of its arrays
                     trees[t] = g.tree()
-            found = _best_splits(search, [(it[3], it[5]) for it in items])
-            for (_, g, node, rows, depth, _), best in zip(items, found):
-                if best is None:
-                    g.value[node] = _leaf_value(y[rows], classification, class_count)
-                    continue
-                f, thr = best
-                mask = X[rows, f] <= thr
+            live = [(t, g) for t, g in live if g.stack]
+            if not live:
+                break
+            if step % _CANDIDATE_CHUNK == 0:
+                _draw_candidates([g for _, g in live])
+            popped = [(g,) + g.stack.pop() for _, g in live]
+            found = _best_splits(search, [(rows, g.candidates(step))
+                                          for g, _, rows, _ in popped])
+            step += 1
+            split = [(it, best) for it, best in zip(popped, found) if best is not None]
+            kept = [it for it, best in zip(popped, found) if best is None]
+            rows, edges = _partition(X, [rows for (_, _, rows, _), _ in split],
+                                     [best for _, best in split],
+                                     [rows for _, _, rows, _ in kept])
+            children = []
+            for (g, node, _, depth), (f, thr) in split:
                 left = g.split(node, f, thr)
-                # push right first so the left subtree is grown first
-                g.stack.append((left + 1, rows[~mask], depth + 1))
-                g.stack.append((left, rows[mask], depth + 1))
-            live = [it[:2] for it in items]
+                children += [(g, left + 1, depth + 1), (g, left, depth + 1)]
+            settle(children + [(g, node, math.inf) for g, node, _, _ in kept], rows, edges)
     return trees
 
 

@@ -190,6 +190,13 @@ LOADER_CORPUS = {
     "long_row_middle_label": ("a,t,b\n1,x,2\n3,y,4,5\n", CLS, 1),
     "underscore_later_row": ("a,t\n1,2\n1_0,3\n", REG, None),
     "unicode_digits_later_row": ("a,t\n1,2\n\u0661\u0662.5,3\n", REG, None),
+    "cr_inside_row": ("a,t\n1,2\n3\r,4\n", REG, None),
+    "cr_splits_row": ("a,t\n1,2\r3,4\n", REG, None),
+    "cr_before_crlf": ("a,t\n1,2\r\r\n3,4\n", REG, None),
+    "cr_in_header": ("a\r,t\n1,2\n", REG, None),
+    "crlf_no_final_newline": ("a,t\r\n1,x\r\n2,y", CLS, None),
+    "utf8_labels": ("x,label\n1,\u00e9\n2,b\n3,\u00e9 \n", CLS, None),
+    "quoted_last_row": ('x,t\n1,2\n3,"4"\n', REG, None),
 }
 
 
@@ -248,6 +255,19 @@ class TestLoadCsvPaths:
         p = _write(tmp_path, 'a,t\n1,2\n"3",4\n')
         with pytest.raises(loop_raises):
             load_csv(p, Task.REGRESSION)
+
+    def test_late_quote_never_reaches_the_parser(self, tmp_path, monkeypatch):
+        # every row is checked before the C parser reads any, so a quoted
+        # label on the last row sends the whole file to the loop alone
+        def parser(*args, **kwargs):
+            raise AssertionError("the C parser ran")
+        monkeypatch.setattr(np, "loadtxt", parser)
+        p = _write(tmp_path, "x,label\n" + "".join(f"{i}.5,a\n" for i in range(50))
+                   + '50,"b"\n')
+        ds = load_csv(p, Task.CLASSIFICATION)
+        want = load_csv_reference(p, Task.CLASSIFICATION)
+        assert ds.X.tobytes() == want.X.tobytes()
+        assert ds.y.tolist() == want.y.tolist() and ds.class_names == ["a", "b"]
 
     def test_long_lines_of_short_cells_skip_the_loop(self, tmp_path, loop_raises):
         # every line is over the csv field limit, but no cell is

@@ -619,6 +619,33 @@ class TestAggregate:
             assert "nrmse_ratio" in rec
             assert "r2_diff" in rec
 
+    def test_undefined_overfit_ratio_is_an_empty_cell(self, tmp_path):
+        # 10 rows of alternating labels: the forest on all features gets
+        # every test row wrong, so the ACC and BA train/test ratios divide
+        # by 0; the summary is still written, with those cells empty
+        X = np.random.default_rng(1).standard_normal((10, 3))
+        path = tmp_path / "ten.csv"
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("f0,f1,f2,label\n")
+            for i, row in enumerate(X):
+                fh.write(",".join(repr(float(v)) for v in row) + f",{'ab'[i % 2]}\n")
+        cfg = ExperimentConfig(
+            datasets=[DatasetSpec("ten", Task.CLASSIFICATION, path=str(path))],
+            methods=[MethodSpec("all")], seeds=[1], k_values=[2],
+            learner=LearnerSpec(n_trees=3), output_dir=str(tmp_path / "out"))
+        rows = run_experiment(cfg)
+        assert [(r.status, r.acc_test, r.ba_test) for r in rows] == [("ok", 0.0, 0.0)]
+        with open(tmp_path / "out" / "summary" / "overfitting_classification.csv",
+                  newline="") as fh:
+            (rec,) = list(csv.DictReader(fh))
+        assert rec["acc_ratio"] == rec["ba_ratio"] == ""
+        # a regression entry whose mean train nRMSE is 0
+        row = ReportRow("d", "regression", "m", "subset", 0, 3, rmse_train=0.0,
+                        nrmse_train=0.0, r2_train=1.0, rmse_test=1.0,
+                        nrmse_test=0.5, r2_test=0.2)
+        (over,) = aggregate([row])["overfitting"]
+        assert "nrmse_ratio" not in over and over["r2_diff"] == 0.8
+
     def test_runtimes_table(self, mini_rows):
         tables = aggregate(mini_rows)
         methods = {rec["method"] for rec in tables["runtimes"]}

@@ -135,6 +135,13 @@ class TestFitForests:
         monkeypatch.setattr(tree_mod, "_GROUP_ROWS", 1)
         self._assert_each_forest_is_its_sets_fit(_rows(q), LearnerSpec(n_trees=3, seed=4))
 
+    @pytest.mark.parametrize("chunk", [1, 64])
+    @pytest.mark.parametrize("q", [None, 4], ids=["reg", "q4"])
+    def test_candidate_chunks(self, q, chunk, monkeypatch):
+        # each tree draws the candidates of 1 or of 64 nodes at once
+        monkeypatch.setattr(tree_mod, "_CANDIDATE_CHUNK", chunk)
+        self._assert_each_forest_is_its_sets_fit(_rows(q), LearnerSpec(n_trees=3, seed=4))
+
     @staticmethod
     def _assert_each_forest_is_its_sets_fit(rows, spec):
         models = fit_forests(spec, rows, SETS)
@@ -177,6 +184,90 @@ class TestFitForests:
 
         one = peak(lambda: fit(spec, rows))
         assert peak(lambda: fit_forests(spec, rows, sets)) < 3 * one
+
+
+class TestCandidateDraws:
+    """A tree draws the candidate sets of ``_CANDIDATE_CHUNK`` nodes at
+    once; each set and the stream after it must be those of the
+    reference's per-node ``np.sort(rng.choice(m, k, replace=False))``,
+    whatever the chunk."""
+
+    @pytest.fixture(autouse=True, params=[None, 1, 64], ids=["chunk16", "chunk1", "chunk64"])
+    def chunk(self, request, monkeypatch):
+        if request.param is not None:
+            monkeypatch.setattr(tree_mod, "_CANDIDATE_CHUNK", request.param)
+
+    @staticmethod
+    def _assert_same_tree(X, y, q, max_features, seed=0, max_depth=None):
+        kwargs = dict(classification=q is not None, class_count=q or 0,
+                      max_features=max_features, min_samples_split=2, max_depth=max_depth)
+        tree = grow_tree(X, y, np.random.default_rng(seed), **kwargs)
+        ref = grow_tree_reference(X, y, np.random.default_rng(seed), **kwargs)
+        for name in NODE_ARRAYS:
+            assert np.array_equal(getattr(tree, name), ref[name]), name
+        return ref
+
+    def test_sets_and_stream_match_choice(self):
+        rng = np.random.default_rng(11)
+        for _ in range(120):
+            m = int(rng.integers(2, 400))
+            k = int(rng.integers(1, m))
+            nodes = int(rng.integers(1, 70))
+            g = tree_mod._Growth(np.random.default_rng(m * k), np.arange(m), k)
+            ref = np.random.default_rng(m * k)
+            assert g.chunked
+            for step in range(nodes):
+                if step % tree_mod._CANDIDATE_CHUNK == 0:
+                    tree_mod._draw_candidates([g])
+                assert g.candidates(step).tolist() == \
+                    np.sort(ref.choice(m, size=k, replace=False)).tolist()
+            if nodes % tree_mod._CANDIDATE_CHUNK == 0:   # no draw left over
+                assert g.rng.integers(1 << 40) == ref.integers(1 << 40)
+
+    @pytest.mark.parametrize("k", [200, 201])
+    def test_either_side_of_numpy_tail_shuffle(self, k):
+        # above 10000 columns numpy's choice shuffles the pool's tail once
+        # k > m // 50 (here 200): k = 201 keeps the per-node draw
+        rng = np.random.default_rng(5)
+        X = np.round(rng.standard_normal((24, 10001)), 1)
+        y = X[:, :40].sum(axis=1) + rng.standard_normal(24)
+        assert tree_mod._Growth(None, np.arange(10001), k).chunked == (k == 200)
+        ref = self._assert_same_tree(X, y, None, k)
+        assert (ref["feature"] >= 0).sum() > 3
+
+    @pytest.mark.parametrize("q", [None, 2, 4], ids=["reg", "bin", "q4"])
+    @pytest.mark.parametrize("max_features", [6, 1], ids=["m_minus_1", "one"])
+    def test_extreme_candidate_counts(self, q, max_features):
+        _assert_same_forest(LearnerSpec(n_trees=5, max_features=max_features, seed=7),
+                            _rows(q, seed=9))
+
+    @pytest.mark.parametrize("bootstrap", [True, False])
+    def test_signed_zero_targets(self, bootstrap):
+        # one-row and larger leaves of -0.0: the mean of -0.0 values is 0.0
+        rng = np.random.default_rng(3)
+        X = np.round(rng.standard_normal((40, 4)), 1)
+        y = np.where(rng.random(40) < 0.6, -0.0, np.round(rng.standard_normal(40), 1))
+        y[::7] = 0.0
+        model = _assert_same_forest(LearnerSpec(n_trees=6, bootstrap=bootstrap, seed=2),
+                                    RowView(X, y, Task.REGRESSION))
+        assert not any((np.signbit(t.value) & (t.value == 0)).any() for t in model.trees)
+
+    @pytest.mark.parametrize("bootstrap", [True, False])
+    def test_pure_leaves_of_equal_targets(self, bootstrap):
+        # groups of 2 to 9 rows with one x and one target each: every group
+        # ends in a pure leaf, whose value is the mean of equal targets, not
+        # always the target itself (three 0.1s average to 0.10000000000000002)
+        sizes = np.arange(2, 10).repeat(3)
+        group = np.repeat(np.arange(sizes.size), sizes)
+        targets = np.array([0.1, 0.7, 1 / 3])[np.arange(sizes.size) % 3] \
+            + np.arange(sizes.size) // 3
+        X = np.stack([group * 0.5, (group % 5) * 1.0], axis=1)
+        model = _assert_same_forest(
+            LearnerSpec(n_trees=4, max_features="all", bootstrap=bootstrap, seed=1),
+            RowView(X, targets[group], Task.REGRESSION))
+        if not bootstrap:
+            leaves = np.concatenate([t.value[t.feature < 0] for t in model.trees])
+            assert set(leaves.tolist()) != set(targets.tolist())
 
 
 class TestGrowTree:
