@@ -24,7 +24,8 @@ from .dataset import (
 )
 from .errors import PermselError
 from .learner import LearnerSpec
-from .moea import MoeaConfig, evolve
+from .moea import MoeaConfig
+from .moea import evolve  # noqa: F401 (unused; perfbench wraps cli.evolve)
 from .runner import (
     RANKING_METHODS,
     MethodSpec,
@@ -99,15 +100,15 @@ def cmd_rank(args) -> int:
 
 def cmd_select(args) -> int:
     task = parse_task(args.task)
-    cfg = MoeaConfig(population_size=args.pop, generations=args.gens,
-                     crossover_prob=args.crossover, mutation_prob=args.mutation,
-                     seed=args.seed, variant=args.variant)
-    cfg.validate()
-    learner = LearnerSpec(n_trees=args.trees)
+    params = {"population_size": args.pop, "generations": args.gens,
+              "crossover_prob": args.crossover, "mutation_prob": args.mutation}
+    MoeaConfig(**params, seed=args.seed, variant=args.variant).validate()
+    learner = LearnerSpec(n_trees=args.trees)  # fits with seed 0 (ROADMAP item 5)
     learner.validate()
     ds = load_csv(args.data, task, target_col=args.target_col)
     part = split(ds, args.seed, stratified=task is Task.CLASSIFICATION)
-    trace = evolve(ds, part, learner, cfg)
+    method = MethodSpec(f"subset-{args.variant}", params)
+    trace = run_selection(ds, part, method, args.seed, learner).trace
     selected = trace.selected_features()
     print(f"selected {selected.size} of {ds.n_features} features "
           f"(merit {trace.best.merit!r})")

@@ -224,10 +224,11 @@ def run_selection(dataset: Dataset, partition: Partition, method: MethodSpec,
 
     Only train/validation rows are read; the test rows stay untouched.
     The subset and PFI kinds score against the forest of their variant,
-    taken from ``contexts`` (variant -> context and the seconds its fit
-    took, filled here when missing) so that the methods of one cell fit
-    it once; a map must not outlive its cell. The fit seconds count in
-    the runtime of every method that uses the context.
+    fitted with ``learner_spec`` as given, seed included, and taken from
+    ``contexts`` (variant -> context and the seconds its fit took, filled
+    here when missing) so that the methods of one cell fit it once; a map
+    must not outlive its cell. The fit seconds count in the runtime of
+    every method that uses the context.
     """
     p = method.params
     if method.kind == ALL_FEATURES:
@@ -240,8 +241,7 @@ def run_selection(dataset: Dataset, partition: Partition, method: MethodSpec,
         contexts = {} if contexts is None else contexts
         if method.variant not in contexts:
             t0 = time.perf_counter()
-            ctx = build_context(dataset, partition, method.variant,
-                                replace(learner_spec, seed=seed))
+            ctx = build_context(dataset, partition, method.variant, learner_spec)
             contexts[method.variant] = (ctx, time.perf_counter() - t0)
         ctx, fit_s = contexts[method.variant]
     features = scores = trace = None
@@ -323,6 +323,7 @@ def _cell_rows(dataset_spec: DatasetSpec, dataset: Dataset, seed: int,
     name, task = dataset_spec.name, dataset_spec.task.value
     partition = split(dataset, seed,
                       cfg.stratified and dataset.task is Task.CLASSIFICATION)
+    learner = replace(cfg.learner, seed=seed)  # every forest of the cell
     counts: dict[str, int] = {}   # subset kind -> selected feature count
     rows: list[ReportRow] = []
     traces: dict[tuple[str, str, int], RunTrace] = {}
@@ -338,8 +339,7 @@ def _cell_rows(dataset_spec: DatasetSpec, dataset: Dataset, seed: int,
 
     for method in sorted(cfg.methods, key=lambda m: m.kind not in SUBSET_METHODS):
         try:
-            sel = run_selection(dataset, partition, method, seed, cfg.learner,
-                                contexts)
+            sel = run_selection(dataset, partition, method, seed, learner, contexts)
             picks = []
             if sel.features is not None:
                 label = "all" if method.kind == ALL_FEATURES else "subset"
@@ -362,7 +362,7 @@ def _cell_rows(dataset_spec: DatasetSpec, dataset: Dataset, seed: int,
                 if method.kind == ALL_FEATURES and "v2" in contexts else None
             if model is None:  # a pick the shared fit cannot draw from fails here
                 for _, features in picks:
-                    cfg.learner.resolve_max_features(features.size, dataset.task)
+                    learner.resolve_max_features(features.size, dataset.task)
         except Exception as exc:
             fail(method, exc)
             continue
@@ -376,8 +376,7 @@ def _cell_rows(dataset_spec: DatasetSpec, dataset: Dataset, seed: int,
         union = np.unique(np.concatenate([features for _, features, _ in pending]))
         try:
             models = learner_mod.fit_forests(
-                replace(cfg.learner, seed=seed),
-                dataset.rows(partition.train_val_idx, union),
+                learner, dataset.rows(partition.train_val_idx, union),
                 [np.searchsorted(union, features) for _, features, _ in pending])
         except Exception as exc:
             for method, _, picks in selected:
@@ -395,7 +394,7 @@ def _cell_rows(dataset_spec: DatasetSpec, dataset: Dataset, seed: int,
                 ReportRow(name, task, method.kind, label, seed,
                           selected_count=int(features.size),
                           runtime_seconds=sel.runtime_seconds,
-                          **evaluate_subset(dataset, partition, features, cfg.learner,
+                          **evaluate_subset(dataset, partition, features, learner,
                                             seed, model=model))
                 for label, features, model in picks]
         except Exception as exc:

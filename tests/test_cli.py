@@ -1,12 +1,14 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
-from permsel import cli
+from permsel import cli, moea
 from permsel.cli import main
-from permsel.dataset import Task, load_csv, split
+from permsel.dataset import Dataset, Task, load_csv, split, write_csv
 from permsel.learner import LearnerSpec
+from permsel.moea import MoeaConfig
 from permsel.runner import MethodSpec, ReportRow, run_selection, write_report_csv
 
 
@@ -55,7 +57,7 @@ class TestRank:
         assert rc == 0
         ds = load_csv(data, Task.REGRESSION)
         sel = run_selection(ds, split(ds, 2, stratified=False), MethodSpec(method),
-                            2, LearnerSpec(n_trees=3))
+                            2, LearnerSpec(n_trees=3, seed=2))
         with open(out, newline="", encoding="utf-8") as fh:
             written = {int(r["feature"]): float(r["score"]) for r in csv.DictReader(fh)}
         assert written == dict(enumerate(sel.scores.scores.tolist()))
@@ -75,6 +77,42 @@ class TestSelect:
         trace = json.loads(trace_path.read_text())
         assert trace["variant"] == "v1"
         assert len(trace["hypervolume"]) == 3
+
+    def test_trace_is_the_search_with_learner_seed_0(self, tmp_path):
+        # --seed drives the split and the search; the forest keeps seed 0
+        # until the benchmark's wide references are re-recorded (ROADMAP 5)
+        data = _synth_csv(tmp_path)
+        trace_path = tmp_path / "trace.json"
+        rc = main(["select", "--variant", "v2", "--data", str(data), "--task", "reg",
+                   "--pop", "8", "--gens", "2", "--seed", "2", "--trees", "3",
+                   "--trace-out", str(trace_path)])
+        assert rc == 0
+        ds = load_csv(data, Task.REGRESSION)
+        expected = moea.evolve(ds, split(ds, 2, stratified=False), LearnerSpec(n_trees=3),
+                               MoeaConfig(population_size=8, generations=2, seed=2,
+                                          variant="v2")).to_json_dict()
+        written = json.loads(trace_path.read_text())
+        for doc in (written, expected):
+            del doc["wall_time_seconds"]
+        assert written == json.loads(json.dumps(expected))
+
+    @pytest.mark.parametrize("width", [3, 12])
+    def test_zero_merit_pick_fails_as_run_does(self, tmp_path, capsys, width):
+        # 6 rows split 4/1/1: shuffling the one v1 validation row changes
+        # nothing, so every merit is 0 (the data of test_runner's six-row tests)
+        rng = np.random.default_rng(0)
+        ds = Dataset(rng.standard_normal((6, width)), rng.standard_normal(6),
+                     Task.REGRESSION, [f"f{j}" for j in range(width)])
+        write_csv(ds, tmp_path / "six.csv")
+        trace_path = tmp_path / "trace.json"
+        rc = main(["select", "--variant", "v1", "--data", str(tmp_path / "six.csv"),
+                   "--task", "reg", "--pop", "4", "--gens", "2", "--trees", "3",
+                   "--trace-out", str(trace_path)])
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "permsel: error: subset-v1 found no subset with nonzero merit "
+            "on 1 evaluation row"]
+        assert not trace_path.exists()
 
 
 class TestRunAndReport:

@@ -9,7 +9,7 @@ import pytest
 from permsel import moea, permutation, runner
 from permsel.dataset import Dataset, SyntheticSpec, Task, split, write_csv
 from permsel.errors import PermselError
-from permsel.learner import LearnerSpec
+from permsel.learner import LearnerSpec, fit
 from permsel.moea import MoeaConfig
 from permsel.runner import (
     DatasetSpec,
@@ -722,6 +722,15 @@ class TestRunSelection:
                                 learner_spec=LearnerSpec(n_trees=2))
             assert sel.trace.config == MoeaConfig(generations=1, seed=2,
                                                   variant=variant)
+
+    def test_fits_with_the_learner_spec_it_is_given(self, small_regression):
+        # the cell seed drives the method's own draws, never the forest's
+        part = split(small_regression, seed=0)
+        contexts = {}
+        run_selection(small_regression, part, MethodSpec("pfi-v1"), seed=2,
+                      learner_spec=LearnerSpec(n_trees=3), contexts=contexts)
+        expected = fit(LearnerSpec(n_trees=3), small_regression.rows(part.train_idx))
+        assert contexts["v1"][0].model.to_json() == expected.to_json()
 
     @staticmethod
     def _six_row_statuses(tmp_path, width):
