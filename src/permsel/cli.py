@@ -14,6 +14,7 @@ import logging
 import os
 import sys
 
+from . import runner
 from .dataset import (
     SyntheticSpec,
     Task,
@@ -34,7 +35,6 @@ from .runner import (
     parse_task,
     read_report_csv,
     run_experiment,
-    run_selection,
     write_summary,
 )
 
@@ -83,7 +83,7 @@ def cmd_rank(args) -> int:
         raise PermselError("infogain needs classification data; --task is reg")
     ds = load_csv(args.data, task, target_col=args.target_col)
     part = split(ds, args.seed, stratified=task is Task.CLASSIFICATION)
-    sel = run_selection(ds, part, method, args.seed, learner)
+    sel = runner.run_selection(ds, part, method, args.seed, learner)
     order = sel.scores.ranking
     lines = ["feature,name,score"]
     limit = args.k if args.k is not None else len(order)
@@ -108,7 +108,7 @@ def cmd_select(args) -> int:
     ds = load_csv(args.data, task, target_col=args.target_col)
     part = split(ds, args.seed, stratified=task is Task.CLASSIFICATION)
     method = MethodSpec(f"subset-{args.variant}", params)
-    trace = run_selection(ds, part, method, args.seed, learner).trace
+    trace = runner.run_selection(ds, part, method, args.seed, learner).trace
     selected = trace.selected_features()
     print(f"selected {selected.size} of {ds.n_features} features "
           f"(merit {trace.best.merit!r})")

@@ -168,7 +168,7 @@ def _pfi_merits(ctx: EvalContext, repeats: int,
     feature-major order.
 
     Each block of jobs draws its row maps with one ``permuted`` call on
-    an int32 (jobs, rows) index array: the draws, in order, of one
+    an int64 (jobs, rows) index array: the draws, in order, of one
     single-column ``merit`` call per job. The forest re-walks only the
     (tree, row) pairs whose path tests a job's column
     (``CompiledForest.shuffled_leaf_values``), and votes or averages as
@@ -183,8 +183,7 @@ def _pfi_merits(ctx: EvalContext, repeats: int,
     merits = np.empty(jobs)
     for lo in range(0, jobs, per_block):
         block = np.arange(lo, min(lo + per_block, jobs))
-        row_maps = rng.permuted(
-            np.broadcast_to(np.arange(n, dtype=np.int32), (block.size, n)), axis=1)
+        row_maps = rng.permuted(np.broadcast_to(np.arange(n), (block.size, n)), axis=1)
         yhat = model.combine(
             forest.shuffled_leaf_values(paths, block // repeats, row_maps))
         for job, pred in zip(block, yhat):

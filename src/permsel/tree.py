@@ -20,6 +20,7 @@ only where the column is tested.
 from __future__ import annotations
 
 import math
+from array import array
 from typing import NamedTuple
 
 import numpy as np
@@ -165,7 +166,7 @@ class CompiledForest:
                                                      counts)
         pair = paths.pairs[entry]
         row = pair % n
-        moved = row_maps[job, row].astype(np.intp) * w  # where its shuffled value is
+        moved = row_maps[job, row] * w  # where its shuffled value is
         values = self._descend(paths.X, paths.nodes[entry], row * w, job * P + pair,
                                np.tile(paths.leaf.ravel(), features.size),
                                shuffled=(features[job], moved))
@@ -232,7 +233,7 @@ class _Search:
     def __init__(self, X, y, classification: bool, class_count: int):
         self.ranks = _rank_table(X)
         self.X = X
-        self.target = np.append(y, class_count if classification else 0)
+        self.target = np.concatenate((y, [class_count if classification else 0]))
         self.classification = classification
         self.class_count = class_count
         # elements of one search block per class plane, and the most a
@@ -513,13 +514,13 @@ class _Growth:
     """One tree being grown: its stream, its candidate pool (ascending
     columns of X) and how many candidates a node draws from it, its
     depth-first stack of the (node, rows, depth) that need a split
-    search, and its node arrays. A tree whose nodes draw from a part of
+    search, and its node buffers. A tree whose nodes draw from a part of
     the pool through Floyd's algorithm draws them ``_CANDIDATE_CHUNK``
-    nodes at a time (``chunked``; ``drawn`` holds the sets). The arrays
-    start small and double when a split needs room; a split node records
-    the column of X it tests until ``tree`` maps it into the pool."""
+    nodes at a time (``chunked``; ``drawn`` holds the sets). A split
+    appends its two children as leaves to the buffers, and records the
+    column of X it tests until ``tree`` maps it into the pool."""
 
-    __slots__ = ("rng", "pool", "max_features", "chunked", "drawn", "stack", "size",
+    __slots__ = ("rng", "pool", "max_features", "chunked", "drawn", "stack",
                  "feature", "threshold", "left", "value")
 
     def __init__(self, rng, pool, max_features):
@@ -532,11 +533,8 @@ class _Growth:
         self.chunked = k < m and not (m > 10000 and k > m // 50)
         self.drawn = None
         self.stack = []
-        self.size = 1
-        self.feature = np.full(_FIRST_NODES, _LEAF, dtype=np.int32)
-        self.threshold = np.zeros(_FIRST_NODES)
-        self.left = np.full(_FIRST_NODES, _LEAF, dtype=np.int32)
-        self.value = np.zeros(_FIRST_NODES)
+        self.feature, self.left = array("i", [_LEAF]), array("i", [_LEAF])
+        self.threshold, self.value = array("d", [0.0]), array("d", [0.0])
 
     def candidates(self, step):
         """The ascending columns of X that the node searched at ``step``
@@ -551,33 +549,26 @@ class _Growth:
     def split(self, node, feature, threshold) -> int:
         """Make ``node`` internal; returns the id of its new left child,
         the right one being the next id."""
-        left = self.size
-        self.size += 2
-        if self.size > self.feature.size:
-            grow = self.feature.size
-            self.feature = np.append(self.feature, np.full(grow, _LEAF, np.int32))
-            self.threshold = np.append(self.threshold, np.zeros(grow))
-            self.left = np.append(self.left, np.full(grow, _LEAF, np.int32))
-            self.value = np.append(self.value, np.zeros(grow))
+        left = len(self.feature)
         self.feature[node] = feature
         self.threshold[node] = threshold
         self.left[node] = left
+        self.feature.extend((_LEAF, _LEAF))
+        self.left.extend((_LEAF, _LEAF))
+        self.threshold.extend((0.0, 0.0))
+        self.value.extend((0.0, 0.0))
         return left
 
     def tree(self) -> Tree:
-        n = self.size
-        feature, left = self.feature[:n].copy(), self.left[:n].copy()
+        feature, left = np.array(self.feature), np.array(self.left)
         leaf = feature == _LEAF
         feature[~leaf] = np.searchsorted(self.pool, feature[~leaf])
         right = np.where(leaf, _LEAF, left + 1)
-        return Tree(feature, self.threshold[:n].copy(), left, right,
-                    self.value[:n].copy())
+        return Tree(feature, np.array(self.threshold), left, right, np.array(self.value))
 
 
-# Node slots a tree starts with (doubled whenever a split needs more)
-_FIRST_NODES = 64
 # Trees x rows that grow in one lockstep group: the trees of a group
-# hold their stacks and node arrays at once
+# hold their stacks and node buffers at once
 _GROUP_ROWS = 1 << 15
 # Nodes whose candidate sets a tree draws at once
 _CANDIDATE_CHUNK = 16
@@ -603,7 +594,7 @@ def grow_forest(X, y, rngs, pools, max_features, *, bootstrap: bool,
     columns. X itself is read only at the rows that place a threshold and
     when a node is split. The trees grow in groups of at most
     ``_GROUP_ROWS`` rows in all (at least one tree each), one group after
-    the other, and a tree is copied out of its growth arrays as soon as
+    the other, and a tree is copied out of its node buffers as soon as
     it is done.
     """
     depth_limit = np.inf if max_depth is None else max_depth
@@ -638,7 +629,7 @@ def grow_forest(X, y, rngs, pools, max_features, *, bootstrap: bool,
         step = 0
         while True:
             for t, g in live:
-                if not g.stack:  # every node is settled: copy the tree out of its arrays
+                if not g.stack:  # every node is settled: copy the tree out of its buffers
                     trees[t] = g.tree()
             live = [(t, g) for t, g in live if g.stack]
             if not live:

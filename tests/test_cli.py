@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from permsel import cli, moea
+from permsel import cli, moea, runner
 from permsel.cli import main
 from permsel.dataset import Dataset, Task, load_csv, split, write_csv
 from permsel.learner import LearnerSpec
@@ -113,6 +113,22 @@ class TestSelect:
             "permsel: error: subset-v1 found no subset with nonzero merit "
             "on 1 evaluation row"]
         assert not trace_path.exists()
+
+
+def test_select_and_rank_call_run_selection_on_the_runner(tmp_path, monkeypatch):
+    # the benchmark times selection by wrapping runner.run_selection
+    data = _synth_csv(tmp_path)
+    calls, real = [], runner.run_selection
+
+    def spy(*args, **kwargs):
+        calls.append(args[2].kind)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(runner, "run_selection", spy)
+    assert main(["select", "--variant", "v1", "--data", str(data), "--task", "reg",
+                 "--pop", "4", "--gens", "1", "--trees", "2"]) == 0
+    assert main(["rank", "--method", "corr", "--data", str(data), "--task", "reg"]) == 0
+    assert calls == ["subset-v1", "corr"]
 
 
 class TestRunAndReport:
