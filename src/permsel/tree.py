@@ -7,7 +7,8 @@ stream. Ties in impurity are broken by lowest feature index, then lowest
 threshold, so growth is fully deterministic for a given stream. The
 trees of a forest grow in lockstep (``grow_forest``): each step searches
 the next node of every tree in one batched call, and every tree comes
-out as it would grown alone.
+out as it would grown alone. A large fit deals its trees to one forked
+process per usable CPU, each growing its share in lockstep.
 
 Prediction runs on a ``CompiledForest``: the nodes of any number of trees
 in one table. Every traversal is one descent of many (tree, row) walks at
@@ -19,11 +20,16 @@ only where the column is tested.
 
 from __future__ import annotations
 
+import io
 import math
+import os
+import threading
 from array import array
 from typing import NamedTuple
 
 import numpy as np
+
+from .errors import LearnerError
 
 _LEAF = -1
 
@@ -585,20 +591,152 @@ def grow_forest(X, y, rngs, pools, max_features, *, bootstrap: bool,
     Tree t is the tree that a one-at-a-time growth on
     ``X[:, pools[t]]`` would give: it keeps its own depth-first stack
     (left child first) and its own stream, and its features index its
-    pool. A step pops the next node of every tree and searches them all
-    in one ``_best_splits`` call. The winning splits partition all their
-    rows in one stable pass, and their children are settled at once
+    pool. The searches read the rank table of X, built once here; a
+    column's ranks do not depend on the other columns.
+
+    The trees are dealt round robin to ``_process_count`` processes: this
+    one, which grows the first share, and children made with
+    ``os.fork``, which grow the others from the same rank table and send
+    their trees' node arrays back over a pipe. Each share grows as
+    ``_grow_share`` says, so the trees do not depend on the number of
+    processes. A share that cannot be forked grows here. The streams of
+    the trees grown in a child do not advance in this process (callers
+    discard them after the fit). Every child is reaped before this
+    returns; when this process's own share raises, the children are
+    killed first, and a child that fails makes the fit raise a
+    ``LearnerError``.
+    """
+    search = _Search(X, y, classification, class_count)
+    T = len(rngs)
+
+    def grow(share):
+        return _grow_share(search, [rngs[t] for t in share], [pools[t] for t in share],
+                           [max_features[t] for t in share], bootstrap=bootstrap,
+                           min_samples_split=min_samples_split, max_depth=max_depth)
+
+    processes = _process_count(T, X.shape[0] * sum(max_features))
+    shares = [range(p, T, processes) for p in range(processes)]
+    trees = [None] * T
+    children = []   # (pid, read end of its pipe, share) of each child not yet reaped
+    try:
+        own = list(shares[0])
+        for share in shares[1:]:
+            try:
+                children.append(_fork_share(grow, share))
+            except OSError:  # no process to spare: the share grows here
+                own += share
+        for t, tree in zip(own, grow(own)):
+            trees[t] = tree
+        while children:
+            pid, pipe, share = children[0]
+            with pipe:
+                sent = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            children.pop(0)
+            if code:
+                raise LearnerError(f"the process growing trees {list(share)} of the forest "
+                                   f"failed (exit status {code}): "
+                                   f"{sent.decode(errors='replace') or 'no message'}")
+            for t, tree in zip(share, _unpacked_trees(sent)):
+                trees[t] = tree
+    finally:
+        if children:
+            import signal  # here, since the module adds ~1 ms to every start-up
+        for pid, pipe, _ in children:
+            os.kill(pid, signal.SIGKILL)
+            pipe.close()
+            os.waitpid(pid, 0)
+    return trees
+
+
+# Rows x candidates per tree, summed over the trees, that each process of
+# a fit must grow for the fit to be dealt to more than one process
+_SHARE_FLOOR = 1 << 14
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on, or 1 where it cannot fork or
+    read its CPU affinity (only Linux does both)."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _process_count(trees: int, size: int) -> int:
+    """How many processes grow a fit of ``trees`` trees whose rows x
+    candidates, summed over the trees, are ``size``: one per usable CPU,
+    at most one per tree and at least ``_SHARE_FLOOR`` of the size each.
+    It is 1 while another Python thread runs, since a forked child holds
+    only the forking thread and whatever locks the others held."""
+    if threading.active_count() > 1:
+        return 1
+    return max(1, min(_usable_cpus(), trees, size // _SHARE_FLOOR))
+
+
+def _fork_share(grow, share):
+    """Fork a child that grows the trees of ``share`` with ``grow`` and
+    writes their node arrays (``_packed_trees``) to a pipe, or, if it fails,
+    why, and exits with ``os._exit``, so that no exit handler or stdio
+    flush of this process runs twice. Returns (pid, read end of the pipe
+    as a file, share)."""
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read)
+        os.close(write)
+        raise
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read)
+            with open(write, "wb") as out:
+                try:
+                    out.write(_packed_trees(grow(share)))
+                    code = 0
+                except Exception as exc:
+                    out.write(f"{type(exc).__name__}: {exc}".encode())
+        finally:
+            os._exit(code)
+    os.close(write)
+    return pid, open(read, "rb"), share
+
+
+def _packed_trees(trees) -> bytes:
+    """The node counts of ``trees``, then each node array of them all in
+    one ``.npy`` record."""
+    out = io.BytesIO()
+    np.save(out, [t.feature.size for t in trees])
+    for name in Tree.__slots__:
+        np.save(out, np.concatenate([getattr(t, name) for t in trees]))
+    return out.getvalue()
+
+
+def _unpacked_trees(packed: bytes) -> list[Tree]:
+    """The trees that ``_packed_trees`` packed."""
+    packed = io.BytesIO(packed)
+    cuts = np.cumsum(np.load(packed))[:-1]
+    return [Tree(*arrays) for arrays in zip(*(np.split(np.load(packed), cuts)
+                                              for _ in Tree.__slots__))]
+
+
+def _grow_share(search, rngs, pools, max_features, *, bootstrap: bool,
+                min_samples_split: int, max_depth: int | None) -> list[Tree]:
+    """Grow the trees of one share of a ``grow_forest`` call, as it says,
+    on the rank table of ``search``.
+
+    A step pops the next node of every tree and searches them all in one
+    ``_best_splits`` call. The winning splits partition all their rows in
+    one stable pass, and their children are settled at once
     (``_settle``), so that a stack holds only nodes that need a search;
-    the roots are settled the same way. The searches read the rank table
-    of X, built once here; a column's ranks do not depend on the other
-    columns. X itself is read only at the rows that place a threshold and
-    when a node is split. The trees grow in groups of at most
-    ``_GROUP_ROWS`` rows in all (at least one tree each), one group after
-    the other, and a tree is copied out of its node buffers as soon as
-    it is done.
+    the roots are settled the same way. X itself is read only at the rows
+    that place a threshold and when a node is split. The trees grow in
+    groups of at most ``_GROUP_ROWS`` rows in all (at least one tree
+    each), one group after the other, and a tree is copied out of its
+    node buffers as soon as it is done.
     """
     depth_limit = np.inf if max_depth is None else max_depth
-    search = _Search(X, y, classification, class_count)
+    X = search.X
     n = X.shape[0]
     every_row = np.arange(n)
     trees = [None] * len(rngs)

@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from permsel import moea, permutation, runner
+from permsel import moea, permutation, runner, tree
 from permsel.dataset import Dataset, SyntheticSpec, Task, split, write_csv
 from permsel.errors import PermselError
 from permsel.learner import LearnerSpec, fit
@@ -224,6 +224,17 @@ class TestRunExperiment:
             return docs
         assert len(traces(out1)) == workers
         assert traces(out1) == traces(outn)
+
+    def test_fits_in_pool_cells_stay_in_process(self, tmp_path, monkeypatch):
+        # a forked child holds only the forking thread: with the GIL off and
+        # cells in the pool, no fit forks, however large or many CPUs
+        forks = []
+        monkeypatch.setattr(runner, "_gil_enabled", lambda: False)
+        monkeypatch.setattr(tree, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(tree, "_SHARE_FLOOR", 1)
+        monkeypatch.setattr(tree, "_fork_share", lambda *args: forks.append(args))
+        run_experiment(_mini_config(tmp_path, workers=2))
+        assert forks == []
 
     def test_classification_dataset_flow(self, tmp_path, small_classification):
         path = tmp_path / "cls.csv"

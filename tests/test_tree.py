@@ -2,9 +2,12 @@
 
 Every tree ``fit`` grows in lockstep must equal, array for array, the tree
 the reference grows alone from the same stream: same node ids, features,
-thresholds, children and leaf values.
+thresholds, children and leaf values, whether the trees of a fit grow
+in this process or are dealt to forked ones.
 """
 
+import os
+import signal
 import tracemalloc
 
 import numpy as np
@@ -37,6 +40,36 @@ def _rows(q, n=48, w=7, seed=0):
     y = np.digitize(score, np.quantile(score, np.linspace(0, 1, q + 1)[1:-1]))
     y[-4:] = y[:4]
     return RowView(X, y, Task.CLASSIFICATION, class_count=q)
+
+
+@pytest.fixture
+def forked(request, monkeypatch):
+    """The shares of trees that the test's fits fork, each a list of tree
+    indices; no child process may be left after the test. Parametrized
+    with a process count, the fixture deals every fit to that many
+    processes (as many usable CPUs, no size floor), and checks that the
+    fits forked when that is more than one."""
+    forks = []
+    fork_share = tree_mod._fork_share
+
+    def counted(grow, share):
+        forks.append(list(share))
+        return fork_share(grow, share)
+
+    monkeypatch.setattr(tree_mod, "_fork_share", counted)
+    processes = getattr(request, "param", None)
+    if processes is not None:
+        monkeypatch.setattr(tree_mod, "_usable_cpus", lambda: processes)
+        monkeypatch.setattr(tree_mod, "_SHARE_FLOOR", 1)
+    yield forks
+    if processes is not None:
+        assert bool(forks) == (processes > 1)
+    _assert_no_child_left()
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def _reference(spec, rows):
@@ -135,6 +168,21 @@ class TestFitForests:
         monkeypatch.setattr(tree_mod, "_GROUP_ROWS", 1)
         self._assert_each_forest_is_its_sets_fit(_rows(q), LearnerSpec(n_trees=3, seed=4))
 
+    # the two tests above with the trees dealt to 2 and 3 processes (their
+    # own cases run in this process): an odd number of trees (3 a set, 15
+    # in all) split unevenly, and as many processes as the 3 trees of each
+    # set's own fit
+    @pytest.mark.parametrize("forked", [2, 3], indirect=True)
+    @pytest.mark.parametrize("q", [None, 2, 4], ids=["reg", "bin", "q4"])
+    @pytest.mark.parametrize("bootstrap", [True, False])
+    @pytest.mark.parametrize("group_rows", [tree_mod._GROUP_ROWS, 1],
+                             ids=["one_group", "group_per_tree"])
+    def test_forests_grown_in_processes(self, q, bootstrap, group_rows, forked,
+                                        monkeypatch):
+        monkeypatch.setattr(tree_mod, "_GROUP_ROWS", group_rows)
+        self._assert_each_forest_is_its_sets_fit(
+            _rows(q), LearnerSpec(n_trees=3, bootstrap=bootstrap, seed=4))
+
     @pytest.mark.parametrize("chunk", [1, 64])
     @pytest.mark.parametrize("q", [None, 4], ids=["reg", "q4"])
     def test_candidate_chunks(self, q, chunk, monkeypatch):
@@ -149,8 +197,11 @@ class TestFitForests:
         for cols, model in zip(SETS, models):
             alone = RowView(rows.X[:, cols], rows.y, rows.task, class_count=rows.class_count)
             assert model.n_features == len(cols) and len(model.trees) == spec.n_trees
+            with pytest.MonkeyPatch.context() as mp:  # the set's own fit, in this process
+                mp.setattr(tree_mod, "_usable_cpus", lambda: 1)
+                own = fit(spec, alone).trees
             for t, (tree, own, ref) in enumerate(zip(
-                    model.trees, fit(spec, alone).trees, _reference(spec, alone))):
+                    model.trees, own, _reference(spec, alone))):
                 for name in NODE_ARRAYS:
                     assert np.array_equal(getattr(tree, name), getattr(own, name))
                     assert np.array_equal(getattr(tree, name), ref[name]), (cols, t, name)
@@ -162,10 +213,12 @@ class TestFitForests:
         with pytest.raises(LearnerError, match="ascending indices below 7"):
             fit_forests(LearnerSpec(n_trees=1), _rows(None), [[0, 1]] + sets)
 
-    def test_batch_peak_within_a_few_single_fits(self):
+    def test_batch_peak_within_a_few_single_fits(self, monkeypatch):
         # 18 forests of 4 trees on 200 rows grow in one lockstep group; their
         # node arrays grow by use, so the batch holds little more than one
-        # fit's search and rank table
+        # fit's search and rank table. tracemalloc sees no child process's
+        # allocations, so the fits stay in this process
+        monkeypatch.setattr(tree_mod, "_usable_cpus", lambda: 1)
         rows = _rows(4, n=200, w=40, seed=3)
         spec = LearnerSpec(n_trees=4, seed=3)
         rng = np.random.default_rng(0)
@@ -184,6 +237,100 @@ class TestFitForests:
 
         one = peak(lambda: fit(spec, rows))
         assert peak(lambda: fit_forests(spec, rows, sets)) < 3 * one
+
+
+class TestProcesses:
+    """A fit deals its trees to forked processes only where that pays, and
+    leaves no child process, whichever process fails."""
+
+    @pytest.mark.parametrize("shape", [(2, 180, 30), (4, 240, 80)], ids=["bin30", "q4w80"])
+    def test_small_fits_stay_in_process(self, shape, forked, monkeypatch):
+        # the 4-tree context fits of the sweep benchmark, however many CPUs
+        monkeypatch.setattr(tree_mod, "_usable_cpus", lambda: 64)
+        q, n, w = shape
+        fit(LearnerSpec(n_trees=4), _rows(q, n=n, w=w))
+        assert forked == []
+
+    def test_one_tree_stays_in_process(self, forked, monkeypatch):
+        monkeypatch.setattr(tree_mod, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(tree_mod, "_SHARE_FLOOR", 1)
+        rows = _rows(None)
+        grow_tree(rows.X, rows.y, np.random.default_rng(0), classification=False,
+                  class_count=0, max_features=3, min_samples_split=2, max_depth=None)
+        assert forked == []
+
+    def test_one_usable_cpu_stays_in_process(self, forked, monkeypatch):
+        monkeypatch.setattr(tree_mod, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(tree_mod, "_SHARE_FLOOR", 1)
+        fit(LearnerSpec(n_trees=8), _rows(4))
+        assert forked == []
+
+    def test_desk_context_fit_forks(self, forked, monkeypatch):
+        # 60 trees on 240x200, a third of the columns each node: the fit of
+        # the desk benchmark's context, split between two CPUs
+        monkeypatch.setattr(tree_mod, "_usable_cpus", lambda: 2)
+        fit(LearnerSpec(n_trees=60), _rows(None, n=240, w=200))
+        assert forked == [list(range(1, 60, 2))]
+
+    @pytest.mark.parametrize("forked", [3], indirect=True)
+    def test_more_cpus_than_trees(self, forked):
+        # one process a tree, the third CPU unused
+        _assert_same_forest(LearnerSpec(n_trees=2, seed=3), _rows(2))
+        assert forked == [[1]]
+
+    @pytest.mark.parametrize("forked", [3], indirect=True)
+    def test_share_that_cannot_fork_grows_here(self, forked, monkeypatch):
+        # the second fork fails as when the system has no process to spare
+        fork = os.fork
+        calls = []
+
+        def fork_once():
+            calls.append(1)
+            if len(calls) > 1:
+                raise BlockingIOError("Resource temporarily unavailable")
+            return fork()
+
+        monkeypatch.setattr(os, "fork", fork_once)
+        _assert_same_forest(LearnerSpec(n_trees=7, seed=2), _rows(4))
+        assert forked == [[1, 4], [2, 5]] and len(calls) == 2
+
+    @staticmethod
+    def _fail(monkeypatch, in_child, failure):
+        """Make every split search call ``failure()`` in the children only,
+        or in this process only: fork copies the patch."""
+        parent = os.getpid()
+        best_splits = tree_mod._best_splits
+
+        def patched(search, nodes):
+            if (os.getpid() != parent) == in_child:
+                failure()
+            return best_splits(search, nodes)
+
+        monkeypatch.setattr(tree_mod, "_best_splits", patched)
+
+    @staticmethod
+    def _raise():
+        raise RuntimeError("no split here")
+
+    @pytest.mark.parametrize("forked", [2, 3], indirect=True)
+    @pytest.mark.parametrize("q", [None, 4], ids=["reg", "q4"])
+    def test_failing_child_raises(self, q, forked, monkeypatch):
+        self._fail(monkeypatch, True, self._raise)
+        with pytest.raises(LearnerError, match=r"trees \[1, .*\] of the forest failed "
+                                               r".*RuntimeError: no split here"):
+            fit(LearnerSpec(n_trees=6), _rows(q))
+
+    @pytest.mark.parametrize("forked", [2], indirect=True)
+    def test_killed_child_raises(self, forked, monkeypatch):
+        self._fail(monkeypatch, True, lambda: os.kill(os.getpid(), signal.SIGKILL))
+        with pytest.raises(LearnerError, match="exit status -9"):
+            fit(LearnerSpec(n_trees=4), _rows(None))
+
+    @pytest.mark.parametrize("forked", [2, 3], indirect=True)
+    def test_failing_parent_reaps_its_children(self, forked, monkeypatch):
+        self._fail(monkeypatch, False, self._raise)
+        with pytest.raises(RuntimeError, match="no split here"):
+            fit(LearnerSpec(n_trees=6), _rows(None))
 
 
 class TestCandidateDraws:
