@@ -32,7 +32,8 @@ class Task(enum.Enum):
 
 
 class RowView:
-    """A row slice of a dataset: feature matrix ``X`` (m rows) plus target ``y``."""
+    """Rows of a dataset: feature matrix ``X`` (m rows) plus target ``y``.
+    A ``Dataset`` is the row view of all its rows."""
 
     __slots__ = ("X", "y", "task", "class_count")
 
@@ -52,8 +53,9 @@ class RowView:
         return self.X.shape[1]
 
 
-class Dataset:
-    """Numeric tabular data with one target column.
+class Dataset(RowView):
+    """Numeric tabular data with one target column: the row view of all
+    its rows, plus the names of its features, target and classes.
 
     Classification targets are stored as indices 0..q-1 in order of first
     appearance; the original labels are kept in ``class_names``. When
@@ -88,25 +90,11 @@ class Dataset:
             y = np.asarray(y, dtype=float)
             if not np.isfinite(y).all():
                 raise DatasetError("regression target contains non-finite values")
-        self.X = X
-        self.y = y
-        self.task = task
+        super().__init__(X, y, task, len(class_names) if class_names is not None else None)
         self.feature_names = list(feature_names)
         self.class_names = list(class_names) if class_names is not None else None
         self.target_name = target_name
         self.row_access_log: set[int] | None = None
-
-    @property
-    def n_rows(self) -> int:
-        return self.X.shape[0]
-
-    @property
-    def n_features(self) -> int:
-        return self.X.shape[1]
-
-    @property
-    def class_count(self) -> int | None:
-        return len(self.class_names) if self.class_names is not None else None
 
     def rows(self, indices, features=None) -> RowView:
         """Copy the given rows, restricted to ``features`` when given, into

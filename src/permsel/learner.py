@@ -1,4 +1,4 @@
-"""Random forest learner behind a pluggable fit/predict contract.
+"""The random forest: the one learner that every evaluation context fits.
 
 The forest is deterministic: every tree draws from its own stream seeded
 by (spec.seed, tree_index), so results do not depend on training order
@@ -68,10 +68,10 @@ class LearnerSpec:
             return max(1, n_features // 3)
         if mf == "all":
             return n_features
-        if isinstance(mf, int):
+        if is_int(mf):
             if not (1 <= mf <= n_features):
                 raise LearnerError(f"max_features={mf} outside [1, {n_features}]")
-            return mf
+            return int(mf)
         raise LearnerError(f"bad max_features: {mf!r}")
 
 

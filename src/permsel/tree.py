@@ -20,9 +20,9 @@ only where the column is tested.
 
 from __future__ import annotations
 
-import io
 import math
 import os
+import pickle
 import threading
 from array import array
 from typing import NamedTuple
@@ -51,17 +51,11 @@ class Tree:
         return CompiledForest([self]).leaf_values(X)[0]
 
     def to_dict(self) -> dict:
-        return {
-            "feature": self.feature.tolist(),
-            "threshold": self.threshold.tolist(),
-            "left": self.left.tolist(),
-            "right": self.right.tolist(),
-            "value": self.value.tolist(),
-        }
+        return {name: getattr(self, name).tolist() for name in self.__slots__}
 
     @classmethod
     def from_dict(cls, d: dict) -> "Tree":
-        return cls(d["feature"], d["threshold"], d["left"], d["right"], d["value"])
+        return cls(*(d[name] for name in cls.__slots__))
 
 
 class CompiledForest:
@@ -597,7 +591,7 @@ def grow_forest(X, y, rngs, pools, max_features, *, bootstrap: bool,
     The trees are dealt round robin to ``_process_count`` processes: this
     one, which grows the first share, and children made with
     ``os.fork``, which grow the others from the same rank table and send
-    their trees' node arrays back over a pipe. Each share grows as
+    their trees back over a pipe, pickled. Each share grows as
     ``_grow_share`` says, so the trees do not depend on the number of
     processes. A share that cannot be forked grows here. The streams of
     the trees grown in a child do not advance in this process (callers
@@ -637,7 +631,7 @@ def grow_forest(X, y, rngs, pools, max_features, *, bootstrap: bool,
                 raise LearnerError(f"the process growing trees {list(share)} of the forest "
                                    f"failed (exit status {code}): "
                                    f"{sent.decode(errors='replace') or 'no message'}")
-            for t, tree in zip(share, _unpacked_trees(sent)):
+            for t, tree in zip(share, pickle.loads(sent)):
                 trees[t] = tree
     finally:
         if children:
@@ -675,10 +669,11 @@ def _process_count(trees: int, size: int) -> int:
 
 def _fork_share(grow, share):
     """Fork a child that grows the trees of ``share`` with ``grow`` and
-    writes their node arrays (``_packed_trees``) to a pipe, or, if it fails,
-    why, and exits with ``os._exit``, so that no exit handler or stdio
-    flush of this process runs twice. Returns (pid, read end of the pipe
-    as a file, share)."""
+    writes them, pickled, to a pipe, or, if it fails, why, and exits with
+    ``os._exit``, so that no exit handler or stdio flush of this process
+    runs twice. Only this process reads the pipe, and it unpickles what
+    the child sent only after a zero exit status. Returns (pid, read end
+    of the pipe as a file, share)."""
     read, write = os.pipe()
     try:
         pid = os.fork()
@@ -692,7 +687,7 @@ def _fork_share(grow, share):
             os.close(read)
             with open(write, "wb") as out:
                 try:
-                    out.write(_packed_trees(grow(share)))
+                    out.write(pickle.dumps(grow(share)))
                     code = 0
                 except Exception as exc:
                     out.write(f"{type(exc).__name__}: {exc}".encode())
@@ -700,24 +695,6 @@ def _fork_share(grow, share):
             os._exit(code)
     os.close(write)
     return pid, open(read, "rb"), share
-
-
-def _packed_trees(trees) -> bytes:
-    """The node counts of ``trees``, then each node array of them all in
-    one ``.npy`` record."""
-    out = io.BytesIO()
-    np.save(out, [t.feature.size for t in trees])
-    for name in Tree.__slots__:
-        np.save(out, np.concatenate([getattr(t, name) for t in trees]))
-    return out.getvalue()
-
-
-def _unpacked_trees(packed: bytes) -> list[Tree]:
-    """The trees that ``_packed_trees`` packed."""
-    packed = io.BytesIO(packed)
-    cuts = np.cumsum(np.load(packed))[:-1]
-    return [Tree(*arrays) for arrays in zip(*(np.split(np.load(packed), cuts)
-                                              for _ in Tree.__slots__))]
 
 
 def _grow_share(search, rngs, pools, max_features, *, bootstrap: bool,

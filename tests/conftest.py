@@ -1,3 +1,4 @@
+import os
 import re
 
 import numpy as np
@@ -26,6 +27,15 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
             name, outcome = found[num]
             mark = "PASS" if outcome == "passed" else "FAIL"
             terminalreporter.write_line(f"criterion {num:2d}: {mark}  {name}")
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Every test reaps the processes it starts, such as the children of a
+    fit that forks."""
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 class StubModel:

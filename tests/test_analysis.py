@@ -132,6 +132,10 @@ class TestComparePair:
         assert out.winner == "a"
         assert out.mean_diff > 0  # oriented: positive favors method_a
 
+    def test_unequal_lengths_rejected(self):
+        with pytest.raises(AnalysisError, match="equal-length"):
+            PairedSample("a", "b", Metric.ACC, (0.5, 0.6), (0.5,))
+
     def test_identical_methods_no_decision(self):
         s = PairedSample("a", "b", Metric.ACC, (0.5, 0.6), (0.5, 0.6))
         out = compare_pair(s)

@@ -45,6 +45,18 @@ class TestDatasetInit:
         with pytest.raises(DatasetError, match="not a whole number"):
             Dataset(np.zeros((3, 1)), np.array(y), Task.CLASSIFICATION, ["a"], ["x", "y"])
 
+    @pytest.mark.parametrize("X, y, names, classes, error", [
+        (np.zeros((0, 2)), [], ["a", "b"], None, "2-D with at least one row"),
+        (np.zeros(3), [1.0, 2.0, 3.0], ["a"], None, "2-D with at least one row"),
+        (np.zeros((3, 2)), [1.0, 2.0, 3.0], ["a"], None, "feature_names length"),
+        (np.zeros((3, 1)), [0, 0, 0], ["a"], ["x"], "at least two classes"),
+        (np.zeros((3, 1)), [0, 1, 2], ["a"], ["x", "y"], "class index outside"),
+    ], ids=["no_rows", "one_dim", "name_count", "one_class", "class_index"])
+    def test_bad_arguments_rejected(self, X, y, names, classes, error):
+        task = Task.REGRESSION if classes is None else Task.CLASSIFICATION
+        with pytest.raises(DatasetError, match=error):
+            Dataset(X, np.array(y), task, names, classes)
+
     def test_whole_float_classes_load(self):
         ds = Dataset(np.zeros((3, 1)), np.array([1.0, 0.0, 1.0]), Task.CLASSIFICATION,
                      ["a"], ["x", "y"])

@@ -251,8 +251,10 @@ class TestSerialization:
         assert clone.class_count == 2
 
     def test_bad_container(self):
-        with pytest.raises(LearnerError):
-            RandomForestModel.from_json('{"format": "something-else"}')
+        for text in ('{"format": "something-else"}',
+                     '{"format": "permsel-random-forest", "version": 2}'):
+            with pytest.raises(LearnerError):
+                RandomForestModel.from_json(text)
 
 
 class TestMaxFeatures:
@@ -261,5 +263,11 @@ class TestMaxFeatures:
         assert spec.resolve_max_features(100, Task.CLASSIFICATION) == 10
         assert spec.resolve_max_features(99, Task.REGRESSION) == 33
         assert LearnerSpec(max_features="all").resolve_max_features(7, Task.REGRESSION) == 7
-        assert LearnerSpec(max_features=3).resolve_max_features(7, Task.REGRESSION) == 3
+        for three in (3, np.int64(3)):
+            assert LearnerSpec(max_features=three).resolve_max_features(7, Task.REGRESSION) == 3
         assert LearnerSpec(max_features="third").resolve_max_features(2, Task.REGRESSION) == 1
+        rng = np.random.default_rng(4)
+        rows = _reg_rows(rng.standard_normal((30, 7)), rng.standard_normal(30))
+        plain, numpy_int = (fit(LearnerSpec(n_trees=2, max_features=three), rows)
+                            for three in (3, np.int64(3)))
+        assert [t.to_dict() for t in numpy_int.trees] == [t.to_dict() for t in plain.trees]

@@ -63,6 +63,10 @@ class TestBalancedAccuracy:
             got = balanced_accuracy(y, yhat, class_count)
             assert got == balanced_accuracy_reference(y, yhat, class_count)
 
+    def test_label_outside_classes(self):
+        with pytest.raises(MetricError, match="label outside"):
+            balanced_accuracy([0, 2], [0, 1], 2)
+
     def test_matches_accuracy_when_balanced(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
@@ -100,6 +104,10 @@ class TestNrmse:
 
     def test_zero_rmse(self):
         assert nrmse(0.0, [0.0, 1.0]) == 0.0
+
+    def test_empty_reference(self):
+        with pytest.raises(MetricError, match="empty reference"):
+            nrmse(0.5, [])
 
     def test_zero_range(self):
         with pytest.raises(ZeroRangeError):

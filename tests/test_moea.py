@@ -116,6 +116,10 @@ class TestCrowdingDistance:
         assert np.all(np.isfinite(interior))
         assert np.any(interior == 0.0)
 
+    def test_empty_front(self):
+        with pytest.raises(PermselError, match="empty front"):
+            crowding_distance(np.zeros((0, 2)))
+
     def test_degenerate_objective_contributes_nothing(self):
         dist = crowding_distance([(0.0, 5.0), (1.0, 5.0), (2.0, 5.0)])
         # second objective is constant; only the first contributes
@@ -193,6 +197,10 @@ class TestInitialize:
         cfg = MoeaConfig(population_size=4, init_prob=1.0)
         pop = initialize(6, cfg, np.random.default_rng(0))
         assert all(int(b.sum()) == 6 for b in pop)
+
+    def test_no_features(self):
+        with pytest.raises(PermselError, match="at least one feature"):
+            initialize(0, MoeaConfig(), np.random.default_rng(0))
 
     def test_all_zeros(self):
         cfg = MoeaConfig(population_size=4, init_prob=0.0)

@@ -169,6 +169,37 @@ class TestRunExperiment:
             ("subset-v2", "-", "error", "shared fit failed")]
         assert not list((tmp_path / "o" / "traces").iterdir())
 
+    def test_failed_evaluation_gives_an_error_row(self, tmp_path, monkeypatch):
+        # subset-v1's pick fails in evaluate_subset: one error row and no
+        # trace for it, while corr and all are still scored
+        picked = {}
+        real_select, real_evaluate = runner.run_selection, runner.evaluate_subset
+
+        def run_selection(dataset, partition, method, *args):
+            sel = real_select(dataset, partition, method, *args)
+            if method.kind == "subset-v1":
+                picked["subset-v1"] = sorted(sel.features)
+            return sel
+
+        def evaluate_subset(dataset, partition, features, *args, **kwargs):
+            if sorted(features) == picked["subset-v1"]:
+                raise RuntimeError("evaluation failed")
+            return real_evaluate(dataset, partition, features, *args, **kwargs)
+
+        monkeypatch.setattr(runner, "run_selection", run_selection)
+        monkeypatch.setattr(runner, "evaluate_subset", evaluate_subset)
+        methods = [MethodSpec("corr"), MethodSpec("subset-v1", dict(MOEA_PARAMS)),
+                   MethodSpec("all")]
+        cfg = dataclasses.replace(
+            _mini_config(tmp_path, seeds=(0,), methods=methods, out=tmp_path / "o"),
+            k_values=[2])
+        rows = run_experiment(cfg)
+        assert [(r.method, r.k_label, r.status, r.error) for r in rows] == [
+            ("all", "all", "ok", ""),
+            ("corr", "2", "ok", ""),
+            ("subset-v1", "-", "error", "evaluation failed")]
+        assert not list((tmp_path / "o" / "traces").iterdir())
+
     def test_outputs_written(self, tmp_path):
         out = tmp_path / "results"
         run_experiment(_mini_config(tmp_path, seeds=(0,), out=out))
@@ -742,6 +773,12 @@ class TestRunSelection:
                       learner_spec=LearnerSpec(n_trees=3), contexts=contexts)
         expected = fit(LearnerSpec(n_trees=3), small_regression.rows(part.train_idx))
         assert contexts["v1"][0].model.to_json() == expected.to_json()
+
+    def test_unknown_kind_raises(self, small_regression):
+        # a MethodSpec that never went through validate()
+        with pytest.raises(PermselError, match="unknown method kind 'lasso'"):
+            run_selection(small_regression, split(small_regression, seed=0),
+                          MethodSpec("lasso"), seed=0, learner_spec=LearnerSpec(n_trees=2))
 
     @staticmethod
     def _six_row_statuses(tmp_path, width):
