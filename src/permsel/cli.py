@@ -9,6 +9,8 @@ existing report CSV).
 from __future__ import annotations
 
 import argparse
+import contextlib
+import csv
 import json
 import logging
 import os
@@ -23,7 +25,7 @@ from .dataset import (
     split,
     write_csv,
 )
-from .errors import PermselError
+from .errors import PermselError, require
 from .learner import LearnerSpec
 from .moea import MoeaConfig
 from .moea import evolve  # noqa: F401 (unused; perfbench wraps cli.evolve)
@@ -77,37 +79,31 @@ def cmd_rank(args) -> int:
     method.validate("--")
     learner = LearnerSpec(n_trees=args.trees, seed=args.seed)  # the seed it fits with
     learner.validate()
-    if args.k is not None and args.k < 1:
-        raise PermselError(f"--k must be an integer >= 1, got {args.k}")
+    require(args.k is None or args.k >= 1, "--k", "an integer >= 1", args.k)
     if method.kind == "infogain" and task is Task.REGRESSION:
         raise PermselError("infogain needs classification data; --task is reg")
     ds = load_csv(args.data, task, target_col=args.target_col)
     part = split(ds, args.seed, stratified=task is Task.CLASSIFICATION)
     sel = runner.run_selection(ds, part, method, args.seed, learner)
-    order = sel.scores.ranking
-    lines = ["feature,name,score"]
-    limit = args.k if args.k is not None else len(order)
-    for i in order[:limit]:
-        lines.append(f"{i},{ds.feature_names[i]},{float(sel.scores.scores[i])!r}")
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    with (open(args.out, "w", newline="", encoding="utf-8") if args.out
+          else contextlib.nullcontext(sys.stdout)) as fh:
+        writer = csv.writer(fh, lineterminator="\n")  # quotes a name that needs it
+        writer.writerow(("feature", "name", "score"))
+        writer.writerows((i, ds.feature_names[i], float(sel.scores.scores[i]))
+                         for i in sel.scores.ranking[:args.k])
     return 0
 
 
 def cmd_select(args) -> int:
     task = parse_task(args.task)
-    params = {"population_size": args.pop, "generations": args.gens,
-              "crossover_prob": args.crossover, "mutation_prob": args.mutation}
-    MoeaConfig(**params, seed=args.seed, variant=args.variant).validate()
+    method = MethodSpec(f"subset-{args.variant}", {
+        "population_size": args.pop, "generations": args.gens,
+        "crossover_prob": args.crossover, "mutation_prob": args.mutation})
+    method.moea_config(args.seed).validate()
     learner = LearnerSpec(n_trees=args.trees)  # fits with seed 0 (ROADMAP item 5)
     learner.validate()
     ds = load_csv(args.data, task, target_col=args.target_col)
     part = split(ds, args.seed, stratified=task is Task.CLASSIFICATION)
-    method = MethodSpec(f"subset-{args.variant}", params)
     trace = runner.run_selection(ds, part, method, args.seed, learner).trace
     selected = trace.selected_features()
     print(f"selected {selected.size} of {ds.n_features} features "

@@ -23,6 +23,7 @@ from .errors import (
     SingleClassError,
     is_int,
     is_number,
+    require,
 )
 
 
@@ -136,14 +137,12 @@ class SyntheticSpec:
         for name, low in (("n_instances", 1), ("n_features", 1),
                           ("n_informative", 1), ("seed", 0)):
             value = getattr(self, name)
-            if not is_int(value) or value < low:
-                raise DatasetError(
-                    f"{where}{name} must be an integer >= {low}, got {value!r}")
-        if self.n_informative > self.n_features:
-            raise DatasetError(f"{where}n_informative must be in [1, n_features]")
-        if not is_number(self.noise) or self.noise < 0:
-            raise DatasetError(
-                f"{where}noise must be a nonnegative number, got {self.noise!r}")
+            require(is_int(value) and value >= low, where + name,
+                    f"an integer >= {low}", value, DatasetError)
+        require(self.n_informative <= self.n_features, f"{where}n_informative",
+                "in [1, n_features]", self.n_informative, DatasetError)
+        require(is_number(self.noise) and self.noise >= 0, f"{where}noise",
+                "a nonnegative number", self.noise, DatasetError)
 
 
 def load_csv(path, task: Task, target_col: int | None = None) -> Dataset:
@@ -381,47 +380,34 @@ def _stratified_allocation(counts: np.ndarray, n_train: int, n_val: int) -> np.n
     repairs the global totals with single-row moves that are only applied
     when the donor class stays within one row of proportional in every
     part. Availability of such moves follows from the deviations summing
-    to the (bounded) global rounding error.
+    to the (bounded) global rounding error; each pass moves a cut one row
+    toward its total or raises.
     """
-    q = len(counts)
     a = np.floor(0.6 * counts + 0.5).astype(np.int64)            # train
     b = np.floor(0.8 * counts + 0.5).astype(np.int64)            # train + val
     a = np.minimum(a, b)
-
-    def devs(c):
-        tr, va = a[c], b[c] - a[c]
-        te = counts[c] - b[c]
-        return (tr - 0.6 * counts[c], va - 0.2 * counts[c], te - 0.2 * counts[c])
-
-    def ok(c):
-        return all(abs(d) <= 1.0 + 1e-9 for d in devs(c))
-
-    def repair(cut, total, lo, hi, part, name):
-        # single-row moves of one cut, in place, until it sums to total;
-        # most under-allocated class first when adding rows, last when removing
-        for _ in range(10 * q + 10):
-            delta = total - int(cut.sum())
-            if delta == 0:
-                return
+    quotas = np.outer(counts, (0.6, 0.2, 0.2))
+    zeros = np.zeros(len(counts), dtype=np.int64)
+    # the train cut, then the val/test cut, each moved until it sums to its total
+    for cut, total, lo, hi, part, name in ((a, n_train, zeros, b, 0, "train"),
+                                           (b, n_train + n_val, a, counts, 1, "val")):
+        while delta := total - int(cut.sum()):
             step = 1 if delta > 0 else -1
-            order = np.argsort([devs(c)[part] for c in range(q)])
-            for c in (order if step > 0 else order[::-1]):
+            devs = np.stack((a, b - a, counts - b), 1) - quotas
+            # most under-allocated class first when adding rows, last when
+            # removing. numpy's default sort kind is kept on purpose: it is not
+            # stable, but a stable order changes some splits and so must come
+            # with re-recorded benchmark references (ROADMAP item 1b)
+            for c in np.argsort(devs[:, part])[::step]:
                 if lo[c] <= cut[c] + step <= hi[c]:
                     cut[c] += step
-                    if ok(c):
+                    moved = np.array((a[c], b[c] - a[c], counts[c] - b[c])) - quotas[c]
+                    if (np.abs(moved) <= 1.0 + 1e-9).all():
                         break
                     cut[c] -= step
             else:
                 raise AssertionError(f"stratified allocation: no feasible {name} move")
-
-    repair(a, n_train, np.zeros(q, dtype=np.int64), b, 0, "train")  # train cut
-    repair(b, n_train + n_val, a, counts, 1, "val")                  # val/test cut
-
-    out = np.empty((q, 3), dtype=np.int64)
-    out[:, 0] = a
-    out[:, 1] = b - a
-    out[:, 2] = counts - b
-    return out
+    return np.stack((a, b - a, counts - b), 1)
 
 
 def generate_synthetic(spec: SyntheticSpec) -> Dataset:

@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the type tests that the
-configuration checks use."""
+"""Exception types shared across the package, and the type tests and the
+one error wording that the configuration checks use."""
 
 from numbers import Integral, Real
 
@@ -67,3 +67,11 @@ def is_int(value) -> bool:
 def is_number(value) -> bool:
     """An integer or a float, and not a bool."""
     return isinstance(value, Real) and not isinstance(value, bool)
+
+
+def require(ok: bool, key: str, rule: str, value, error: type = PermselError):
+    """Raise ``error`` naming ``key``, its ``rule`` and the rejected
+    ``value`` unless ``ok`` holds: every configuration check words its
+    type and range errors this way."""
+    if not ok:
+        raise error(f"{key} must be {rule}, got {value!r}")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import RowView, Task
-from .errors import LearnerError, is_int
+from .errors import LearnerError, is_int, require
 from .tree import CompiledForest, Tree, grow_forest
 from .tree import grow_tree  # noqa: F401 (perfbench wraps learner.grow_tree)
 
@@ -43,20 +43,17 @@ class LearnerSpec:
         the key names in the message ("learner." in a config)."""
         for name, low in (("n_trees", 1), ("min_samples_split", 1), ("seed", 0)):
             value = getattr(self, name)
-            if not is_int(value) or value < low:
-                raise LearnerError(
-                    f"{where}{name} must be an integer >= {low}, got {value!r}")
+            require(is_int(value) and value >= low, where + name,
+                    f"an integer >= {low}", value, LearnerError)
         depth = self.max_depth
-        if depth is not None and not (is_int(depth) and depth >= 0):
-            raise LearnerError(
-                f"{where}max_depth must be null or an integer >= 0, got {depth!r}")
+        require(depth is None or is_int(depth) and depth >= 0, f"{where}max_depth",
+                "null or an integer >= 0", depth, LearnerError)
         mf = self.max_features
-        if not (mf is None or mf in ("sqrt", "third", "all") or is_int(mf) and mf >= 1):
-            raise LearnerError(f"{where}max_features must be null, 'sqrt', 'third', "
-                               f"'all' or an integer >= 1, got {mf!r}")
-        if not isinstance(self.bootstrap, bool):
-            raise LearnerError(
-                f"{where}bootstrap must be true or false, got {self.bootstrap!r}")
+        require(mf is None or mf in ("sqrt", "third", "all") or is_int(mf) and mf >= 1,
+                f"{where}max_features",
+                "null, 'sqrt', 'third', 'all' or an integer >= 1", mf, LearnerError)
+        require(isinstance(self.bootstrap, bool), f"{where}bootstrap",
+                "true or false", self.bootstrap, LearnerError)
 
     def resolve_max_features(self, n_features: int, task: Task) -> int:
         mf = self.max_features

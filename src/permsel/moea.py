@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .dataset import Dataset, Partition
-from .errors import PermselError, is_int, is_number
+from .errors import PermselError, is_int, is_number, require
 from .learner import LearnerSpec
 from .permutation import EvalContext, build_context, merit
 
@@ -33,21 +33,20 @@ class MoeaConfig:
         """Raise for a value of the wrong type or range; ``where`` prefixes
         the key names in the message ("methods[0]." in a config)."""
         size = self.population_size
-        if not is_int(size) or size < 4 or size % 2 != 0:
-            raise PermselError(f"{where}population_size must be even and >= 4")
+        require(is_int(size) and size >= 4 and size % 2 == 0, f"{where}population_size",
+                "even and >= 4", size)
         for name in ("crossover_prob", "mutation_prob"):
             prob = getattr(self, name)
-            if not (is_number(prob) and 0.0 <= prob <= 1.0):
-                raise PermselError(f"{where}{name} must be in [0, 1]")
-        if not is_int(self.generations) or self.generations < 0:
-            raise PermselError(f"{where}generations must be a nonnegative integer")
-        if not is_int(self.seed) or self.seed < 0:
-            raise PermselError(f"{where}seed must be an integer >= 0, got {self.seed!r}")
-        if self.variant not in ("v1", "v2"):
-            raise PermselError(f"{where}variant must be 'v1' or 'v2'")
+            require(is_number(prob) and 0.0 <= prob <= 1.0, where + name, "in [0, 1]", prob)
+        require(is_int(self.generations) and self.generations >= 0,
+                f"{where}generations", "a nonnegative integer", self.generations)
+        require(is_int(self.seed) and self.seed >= 0, f"{where}seed",
+                "an integer >= 0", self.seed)
+        require(self.variant in ("v1", "v2"), f"{where}variant", "'v1' or 'v2'",
+                self.variant)
         p = self.init_prob
-        if p is not None and not (is_number(p) and 0.0 <= p <= 1.0):
-            raise PermselError(f"{where}init_prob must be null or in [0, 1]")
+        require(p is None or is_number(p) and 0.0 <= p <= 1.0, f"{where}init_prob",
+                "null or in [0, 1]", p)
 
 
 class Individual:

@@ -47,7 +47,7 @@ from .dataset import (
     load_csv,
     split,
 )
-from .errors import AnalysisError, PermselError, ZeroVarianceError, is_int
+from .errors import AnalysisError, PermselError, ZeroVarianceError, is_int, require
 from .learner import LearnerSpec
 from .metrics import Metric, accuracy, balanced_accuracy, nrmse, r_squared, rmse
 from .moea import MoeaConfig, RunTrace
@@ -77,10 +77,12 @@ class DatasetSpec:
 
     def validate(self, where: str = ""):
         """Check the entry before any load; ``where`` prefixes key paths."""
-        if not isinstance(self.name, str):
-            raise PermselError(f"{where}name must be a string, got {self.name!r}")
-        if not (self.path is None or isinstance(self.path, (str, os.PathLike))):
-            raise PermselError(f"{where}path must be a string, got {self.path!r}")
+        require(isinstance(self.name, str), f"{where}name", "a string", self.name)
+        # trace files are named after the dataset
+        require({os.sep, os.altsep, "\0"}.isdisjoint(self.name), f"{where}name",
+                "free of path separators and NUL", self.name)
+        require(self.path is None or isinstance(self.path, (str, os.PathLike)),
+                f"{where}path", "a string", self.path)
         if (self.path is None) == (self.synthetic is None):
             raise PermselError(f"{where}path and {where}synthetic: give exactly one")
         if self.synthetic is not None:
@@ -110,11 +112,16 @@ class MethodSpec:
                      "infogain": {"bins"}}.get(self.kind, set())
         _check_keys(self.params, names, (), where)
         if self.kind in SUBSET_METHODS:
-            _from_entries(MoeaConfig, self.params, variant=self.variant).validate(where)
+            self.moea_config().validate(where)
         for name, low in (("repeats", 1), ("bins", 2)):
             value = self.params.get(name, low)
-            if not is_int(value) or value < low:
-                raise PermselError(f"{where}{name} must be an integer >= {low}")
+            require(is_int(value) and value >= low, where + name,
+                    f"an integer >= {low}", value)
+
+    def moea_config(self, seed: int = 0) -> MoeaConfig:
+        """The search configuration of a subset kind: its params, this
+        seed and its variant; a param that names no field is ignored."""
+        return _from_entries(MoeaConfig, self.params, seed=seed, variant=self.variant)
 
     @property
     def variant(self) -> str:
@@ -136,27 +143,21 @@ class ExperimentConfig:
     def validate(self):
         """Check every value before any dataset loads; a bad one raises,
         naming its key."""
-        if not is_int(self.workers) or self.workers < 1:
-            raise PermselError(f"workers must be an integer >= 1, got {self.workers!r}")
-        if not isinstance(self.seeds, (list, tuple)) \
-                or not all(is_int(s) and s >= 0 for s in self.seeds):
-            raise PermselError(
-                f"seeds must be a list of integers >= 0, got {self.seeds!r}")
-        if not isinstance(self.k_values, (list, tuple)) \
-                or not all(is_int(k) and k >= 1 or k in ("N1", "N2")
-                           for k in self.k_values):
-            raise PermselError(f"k_values must be a list of integers >= 1, 'N1' "
-                               f"or 'N2', got {self.k_values!r}")
+        require(is_int(self.workers) and self.workers >= 1, "workers",
+                "an integer >= 1", self.workers)
+        require(isinstance(self.seeds, (list, tuple))
+                and all(is_int(s) and s >= 0 for s in self.seeds),
+                "seeds", "a list of integers >= 0", self.seeds)
+        require(isinstance(self.k_values, (list, tuple))
+                and all(is_int(k) and k >= 1 or k in ("N1", "N2") for k in self.k_values),
+                "k_values", "a list of integers >= 1, 'N1' or 'N2'", self.k_values)
         for name, values in (("seeds", self.seeds), ("k_values", self.k_values)):
             if len(set(values)) < len(values):  # rows are keyed by them
                 raise PermselError(f"{name} must not repeat, got {values!r}")
-        if not isinstance(self.stratified, bool):
-            raise PermselError(
-                f"stratified must be true or false, got {self.stratified!r}")
-        if not (self.output_dir is None
-                or isinstance(self.output_dir, (str, os.PathLike))):
-            raise PermselError(
-                f"output_dir must be null or a path, got {self.output_dir!r}")
+        require(isinstance(self.stratified, bool), "stratified", "true or false",
+                self.stratified)
+        require(self.output_dir is None or isinstance(self.output_dir, (str, os.PathLike)),
+                "output_dir", "null or a path", self.output_dir)
         if not self.datasets or not self.methods or not self.seeds:
             raise PermselError("need at least one dataset, method, and seed")
         for i, d in enumerate(self.datasets):
@@ -234,7 +235,7 @@ def run_selection(dataset: Dataset, partition: Partition, method: MethodSpec,
     if method.kind == ALL_FEATURES:
         return SelectionResult(0.0, features=np.arange(dataset.n_features))
     if method.kind in SUBSET_METHODS:
-        cfg = _from_entries(MoeaConfig, p, seed=seed, variant=method.variant)
+        cfg = method.moea_config(seed)
         cfg.validate()  # before the fit
     fit_s = 0.0
     if method.kind in SUBSET_METHODS + PFI_METHODS:
@@ -679,9 +680,8 @@ def load_config(path) -> ExperimentConfig:
 def _expect(value, kind: type, key: str):
     """``value`` if it is a JSON object (``dict``) or array (``list``);
     otherwise raise, naming the key path."""
-    if not isinstance(value, kind):
-        noun = "a JSON object" if kind is dict else "a list"
-        raise PermselError(f"{key} must be {noun}, got {value!r}")
+    require(isinstance(value, kind), key, "a JSON object" if kind is dict else "a list",
+            value)
     return value
 
 

@@ -6,10 +6,11 @@ Monte-Carlo areas, a per-class recall loop, full 2^n sign enumeration
 and a midrank loop for the signed-rank test, column-by-column loops for
 the subset shuffle and permutation importance, tree-by-tree forest
 prediction, a tree grown one node at a time with a stable sort per
-split search, and a CSV loader that reads every row before converting
-cell by cell. None of it shares code with the package beyond the
-evaluation context or fitted trees it is handed, and the dataset and
-error types the loader builds.
+split search, a CSV loader that reads every row before converting
+cell by cell, and the stratified split's repair as a loop of closures.
+None of it shares code with the package beyond the evaluation context
+or fitted trees it is handed, and the dataset and error types the
+loader builds.
 """
 
 import csv
@@ -410,3 +411,55 @@ def _is_float(s):
         return True
     except ValueError:
         return False
+
+
+def stratified_allocation_reference(counts, n_train, n_val):
+    """Per-class (train, val, test) counts, as ``dataset._stratified_allocation``
+    gives them, from a loop of closures that argsorts a list of per-class
+    deviations each pass.
+
+    Starts from per-class rounding of the 60/80 cumulative quotas, then
+    repairs the global totals with single-row moves that are only applied
+    when the donor class stays within one row of proportional in every
+    part. Availability of such moves follows from the deviations summing
+    to the (bounded) global rounding error.
+    """
+    q = len(counts)
+    a = np.floor(0.6 * counts + 0.5).astype(np.int64)            # train
+    b = np.floor(0.8 * counts + 0.5).astype(np.int64)            # train + val
+    a = np.minimum(a, b)
+
+    def devs(c):
+        tr, va = a[c], b[c] - a[c]
+        te = counts[c] - b[c]
+        return (tr - 0.6 * counts[c], va - 0.2 * counts[c], te - 0.2 * counts[c])
+
+    def ok(c):
+        return all(abs(d) <= 1.0 + 1e-9 for d in devs(c))
+
+    def repair(cut, total, lo, hi, part, name):
+        # single-row moves of one cut, in place, until it sums to total;
+        # most under-allocated class first when adding rows, last when removing
+        for _ in range(10 * q + 10):
+            delta = total - int(cut.sum())
+            if delta == 0:
+                return
+            step = 1 if delta > 0 else -1
+            order = np.argsort([devs(c)[part] for c in range(q)])
+            for c in (order if step > 0 else order[::-1]):
+                if lo[c] <= cut[c] + step <= hi[c]:
+                    cut[c] += step
+                    if ok(c):
+                        break
+                    cut[c] -= step
+            else:
+                raise AssertionError(f"stratified allocation: no feasible {name} move")
+
+    repair(a, n_train, np.zeros(q, dtype=np.int64), b, 0, "train")  # train cut
+    repair(b, n_train + n_val, a, counts, 1, "val")                  # val/test cut
+
+    out = np.empty((q, 3), dtype=np.int64)
+    out[:, 0] = a
+    out[:, 1] = b - a
+    out[:, 2] = counts - b
+    return out

@@ -62,6 +62,24 @@ class TestRank:
             written = {int(r["feature"]): float(r["score"]) for r in csv.DictReader(fh)}
         assert written == dict(enumerate(sel.scores.scores.tolist()))
 
+    @pytest.mark.parametrize("to_file", [False, True])
+    def test_names_that_need_quoting_round_trip(self, tmp_path, capsys, to_file):
+        names = ["a,b", 'say "hi"', "d"]
+        rng = np.random.default_rng(4)
+        data = tmp_path / "q.csv"
+        with open(data, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(names + ["target"])
+            writer.writerows([*rng.random(3).tolist(), i % 2] for i in range(20))
+        out = tmp_path / "rank.csv"
+        argv = ["rank", "--method", "corr", "--data", str(data), "--task", "cls"]
+        assert main(argv + (["--out", str(out)] if to_file else [])) == 0
+        text = out.read_text(encoding="utf-8") if to_file else capsys.readouterr().out
+        rows = list(csv.reader(text.splitlines()))
+        assert rows[0] == ["feature", "name", "score"]
+        assert all(len(r) == 3 for r in rows)
+        assert {(int(r[0]), r[1]) for r in rows[1:]} == set(enumerate(names))
+
 
 class TestSelect:
     def test_select_with_trace(self, tmp_path, capsys):
@@ -198,7 +216,7 @@ class TestErrors:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.splitlines() == [
-            "permsel: error: methods[0].population_size must be even and >= 4"]
+            "permsel: error: methods[0].population_size must be even and >= 4, got 3"]
         assert "Traceback" not in err
         assert not (tmp_path / "o").exists()
 
@@ -210,6 +228,10 @@ class TestErrors:
         ({"seeds": 3}, "seeds must be a list of integers >= 0, got 3"),
         ({"datasets": [{"name": "syn", "task": "reg", "path": True}]},
          "datasets[0].path must be a string, got True"),
+        ({"datasets": [{"name": "a/b", "task": "reg", "path": "missing.csv"}]},
+         "datasets[0].name must be free of path separators and NUL, got 'a/b'"),
+        ({"datasets": [{"name": "a\0b", "task": "reg", "path": "missing.csv"}]},
+         "datasets[0].name must be free of path separators and NUL, got 'a\\x00b'"),
     ])
     def test_wrong_value_is_one_line(self, tmp_path, capsys, changes, message):
         data = _synth_csv(tmp_path)
@@ -311,11 +333,11 @@ class TestErrors:
 
     @pytest.mark.parametrize("argv, message", [
         (["select", "--variant", "v1", "--pop", "3"],
-         "population_size must be even and >= 4"),
+         "population_size must be even and >= 4, got 3"),
         (["select", "--variant", "v2", "--gens", "-1"],
-         "generations must be a nonnegative integer"),
+         "generations must be a nonnegative integer, got -1"),
         (["select", "--variant", "v1", "--mutation", "1.5"],
-         "mutation_prob must be in [0, 1]"),
+         "mutation_prob must be in [0, 1], got 1.5"),
         (["select", "--variant", "v1", "--trees", "0"],
          "n_trees must be an integer >= 1, got 0"),
         (["select", "--variant", "v1", "--seed", "-1"],

@@ -22,7 +22,7 @@ from permsel.errors import (
     SingleClassError,
 )
 
-from oracles import load_csv_reference
+from oracles import load_csv_reference, stratified_allocation_reference
 
 
 def _write(tmp_path, text, name="data.csv"):
@@ -419,6 +419,23 @@ class TestSplit:
                     got = int(np.sum(ds.y[idx] == c))
                     assert abs(got - frac * n_c) <= 1.0 + 1e-9, \
                         f"class {c}: {got} vs {frac * n_c}"
+
+    def test_stratified_allocation_matches_reference(self):
+        # small counts tie often, and a tie's order decides which class
+        # gets a row, so this catches any change of the sort or its input
+        rng = np.random.default_rng(25)
+        cases = [np.array([141, 136, 86, 37])]
+        for _ in range(2000):
+            high = int(rng.choice([4, 8, 20, 100, 5000], p=[.3, .3, .2, .1, .1]))
+            cases.append(rng.integers(1, high, size=int(rng.integers(2, 10))))
+        for counts in cases:
+            s = int(counts.sum())
+            if s < 5:
+                continue
+            n_train, n_val, _ = dataset_mod._part_sizes(s)
+            got = dataset_mod._stratified_allocation(counts, n_train, n_val)
+            want = stratified_allocation_reference(counts, n_train, n_val)
+            assert got.dtype == want.dtype and np.array_equal(got, want), counts.tolist()
 
 
 class TestGenerateSynthetic:

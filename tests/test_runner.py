@@ -8,7 +8,7 @@ import pytest
 
 from permsel import moea, permutation, runner, tree
 from permsel.dataset import Dataset, SyntheticSpec, Task, split, write_csv
-from permsel.errors import PermselError
+from permsel.errors import DatasetError, LearnerError, PermselError
 from permsel.learner import LearnerSpec, fit
 from permsel.moea import MoeaConfig
 from permsel.runner import (
@@ -445,6 +445,10 @@ class TestConfigFailsFast:
          "datasets[0].name must be a string, got 7"),
         (lambda raw: raw["datasets"][0].update(name=None),
          "datasets[0].name must be a string, got None"),
+        (lambda raw: raw["datasets"][0].update(name="a/b"),
+         "datasets[0].name must be free of path separators and NUL, got 'a/b'"),
+        (lambda raw: raw["datasets"][0].update(name="a\0b"),
+         "datasets[0].name must be free of path separators and NUL, got 'a\\x00b'"),
     ])
     def test_load_config_names_bad_key(self, tmp_path, edit, message):
         raw = {
@@ -496,13 +500,91 @@ class TestConfigFailsFast:
                        "--data", str(tmp_path / "d.csv"), "--task", "cls"])
         assert rc == 2
         assert capsys.readouterr().err.splitlines() == [
-            "permsel: error: --bins must be an integer >= 2"]
+            "permsel: error: --bins must be an integer >= 2, got 1"]
         assert loaded == []
 
     def test_valid_config_loads_datasets(self, tmp_path, loads):
         run_experiment(_mini_config(tmp_path, seeds=(0,),
                                     methods=[MethodSpec("corr")]))
         assert loads == ["syn"]
+
+
+def _experiment(**changes):
+    return ExperimentConfig([SYN], [MethodSpec("corr")], **changes)
+
+
+class TestValidatorMessages:
+    """Every type and range rule of the config validators words its error
+    "<key> must be <rule>, got <repr(value)>" and raises its own class."""
+
+    @pytest.mark.parametrize("check, error, message", [
+        (lambda: LearnerSpec(n_trees=0).validate("learner."), LearnerError,
+         "learner.n_trees must be an integer >= 1, got 0"),
+        (lambda: LearnerSpec(min_samples_split=2.0).validate(), LearnerError,
+         "min_samples_split must be an integer >= 1, got 2.0"),
+        (lambda: LearnerSpec(seed=-1).validate(), LearnerError,
+         "seed must be an integer >= 0, got -1"),
+        (lambda: LearnerSpec(max_depth=-1).validate(), LearnerError,
+         "max_depth must be null or an integer >= 0, got -1"),
+        (lambda: LearnerSpec(max_features="half").validate(), LearnerError,
+         "max_features must be null, 'sqrt', 'third', 'all' or an integer >= 1, "
+         "got 'half'"),
+        (lambda: LearnerSpec(bootstrap=1).validate(), LearnerError,
+         "bootstrap must be true or false, got 1"),
+        (lambda: MoeaConfig(population_size=6.0).validate("m."), PermselError,
+         "m.population_size must be even and >= 4, got 6.0"),
+        (lambda: MoeaConfig(crossover_prob=-0.1).validate(), PermselError,
+         "crossover_prob must be in [0, 1], got -0.1"),
+        (lambda: MoeaConfig(mutation_prob="0.1").validate(), PermselError,
+         "mutation_prob must be in [0, 1], got '0.1'"),
+        (lambda: MoeaConfig(generations=True).validate(), PermselError,
+         "generations must be a nonnegative integer, got True"),
+        (lambda: MoeaConfig(seed=None).validate(), PermselError,
+         "seed must be an integer >= 0, got None"),
+        (lambda: MoeaConfig(variant="v3").validate(), PermselError,
+         "variant must be 'v1' or 'v2', got 'v3'"),
+        (lambda: MoeaConfig(init_prob=1.5).validate(), PermselError,
+         "init_prob must be null or in [0, 1], got 1.5"),
+        (lambda: SyntheticSpec(0, 5, 2, 0.1).validate("s."), DatasetError,
+         "s.n_instances must be an integer >= 1, got 0"),
+        (lambda: SyntheticSpec(50, "5", 2, 0.1).validate(), DatasetError,
+         "n_features must be an integer >= 1, got '5'"),
+        (lambda: SyntheticSpec(50, 5, 0, 0.1).validate(), DatasetError,
+         "n_informative must be an integer >= 1, got 0"),
+        (lambda: SyntheticSpec(50, 5, 6, 0.1).validate(), DatasetError,
+         "n_informative must be in [1, n_features], got 6"),
+        (lambda: SyntheticSpec(50, 5, 2, 0.1, seed=-2).validate(), DatasetError,
+         "seed must be an integer >= 0, got -2"),
+        (lambda: SyntheticSpec(50, 5, 2, -1).validate(), DatasetError,
+         "noise must be a nonnegative number, got -1"),
+        (lambda: DatasetSpec(b"d", Task.REGRESSION, path="d.csv").validate("d."),
+         PermselError, "d.name must be a string, got b'd'"),
+        (lambda: DatasetSpec("a/b", Task.REGRESSION, path="d.csv").validate(),
+         PermselError, "name must be free of path separators and NUL, got 'a/b'"),
+        (lambda: DatasetSpec("d", Task.REGRESSION, path=3).validate(),
+         PermselError, "path must be a string, got 3"),
+        (lambda: MethodSpec("pfi-v2", {"repeats": 0}).validate("m."), PermselError,
+         "m.repeats must be an integer >= 1, got 0"),
+        (lambda: MethodSpec("infogain", {"bins": 2.5}).validate(), PermselError,
+         "bins must be an integer >= 2, got 2.5"),
+        (lambda: MethodSpec("subset-v2", {"generations": -3}).validate("m."),
+         PermselError, "m.generations must be a nonnegative integer, got -3"),
+        (lambda: _experiment(workers=0).validate(), PermselError,
+         "workers must be an integer >= 1, got 0"),
+        (lambda: _experiment(seeds=[0, -1]).validate(), PermselError,
+         "seeds must be a list of integers >= 0, got [0, -1]"),
+        (lambda: _experiment(k_values=["N3"]).validate(), PermselError,
+         "k_values must be a list of integers >= 1, 'N1' or 'N2', got ['N3']"),
+        (lambda: _experiment(stratified=None).validate(), PermselError,
+         "stratified must be true or false, got None"),
+        (lambda: _experiment(output_dir=5).validate(), PermselError,
+         "output_dir must be null or a path, got 5"),
+    ])
+    def test_message_names_key_rule_and_value(self, check, error, message):
+        with pytest.raises(PermselError) as info:
+            check()
+        assert type(info.value) is error
+        assert str(info.value) == message
 
 
 class TestSelectionIsolation:
