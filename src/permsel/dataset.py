@@ -358,9 +358,7 @@ def split(dataset: Dataset, seed: int, stratified: bool = False) -> Partition:
         raise DatasetError("need at least 5 rows to split")
     if stratified and dataset.task is not Task.CLASSIFICATION:
         raise DatasetError("stratified split requires a classification task")
-    n_train, n_val, n_test = _part_sizes(s)
-    if min(n_train, n_val, n_test) < 1:
-        raise DatasetError("dataset too small: a part would be empty")
+    n_train, n_val, n_test = _part_sizes(s)  # each >= 1 when s >= 5
     # an unstratified split is one group of every row
     if stratified:
         groups = [np.flatnonzero(dataset.y == c) for c in range(dataset.class_count)]

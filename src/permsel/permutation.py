@@ -8,7 +8,7 @@ evaluation rows; all randomness comes from the caller's stream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -87,15 +87,11 @@ class FeatureScores:
     """
 
     scores: np.ndarray
-    ranking: np.ndarray = field(default=None)
 
-    def __post_init__(self):
-        scores = np.asarray(self.scores, dtype=float)
-        object.__setattr__(self, "scores", scores)
-        if self.ranking is None:
-            # stable sort on negated scores: ties keep ascending index order
-            object.__setattr__(self, "ranking",
-                               np.argsort(-scores, kind="stable"))
+    @property
+    def ranking(self) -> np.ndarray:
+        # stable sort on negated scores: ties keep ascending index order
+        return np.argsort(-self.scores, kind="stable")
 
 
 def merit(ctx: EvalContext, chromosome, rng: np.random.Generator) -> float:

@@ -78,6 +78,7 @@ class DatasetSpec:
     def validate(self, where: str = ""):
         """Check the entry before any load; ``where`` prefixes key paths."""
         require(isinstance(self.name, str), f"{where}name", "a string", self.name)
+        require(isinstance(self.task, Task), f"{where}task", "a Task", self.task)
         # trace files are named after the dataset
         require({os.sep, os.altsep, "\0"}.isdisjoint(self.name), f"{where}name",
                 "free of path separators and NUL", self.name)
@@ -171,7 +172,12 @@ class ExperimentConfig:
             if m.kind in (e.kind for e in self.methods[:i]):
                 # rows, trace files and summary entries are keyed by kind
                 raise PermselError(f"method kind {m.kind!r} given more than once")
-        if "infogain" in (m.kind for m in self.methods):
+        kinds = {m.kind for m in self.methods}
+        if kinds & set(RANKING_METHODS):  # else a ranker would write no rows
+            require(any(is_int(k) or f"subset-v{k[1]}" in kinds for k in self.k_values),
+                    "k_values", "a list holding an integer, or an 'N1' or 'N2' whose "
+                    "subset method is configured, when a ranking method is", self.k_values)
+        if "infogain" in kinds:
             for d in self.datasets:
                 if d.task is Task.REGRESSION:
                     raise PermselError(f"infogain needs classification data; "
@@ -348,7 +354,7 @@ def _cell_rows(dataset_spec: DatasetSpec, dataset: Dataset, seed: int,
             else:
                 for k_value in cfg.k_values:
                     if isinstance(k_value, str):
-                        source = "subset-v1" if k_value == "N1" else "subset-v2"
+                        source = f"subset-v{k_value[1]}"  # N1 or N2
                         if source not in counts:
                             log.info("skipping k=%s for %s on %s seed %d: no %s run",
                                      k_value, method.kind, name, seed, source)
@@ -471,8 +477,8 @@ def _write_table(path, records, columns: list[str]):
 
 
 def read_report_csv(path) -> list[ReportRow]:
-    """The rows of a report CSV. A missing column, a short row or a cell
-    of the wrong type raises, naming the file, the line and the column."""
+    """The rows of a report CSV. A missing column, a short row, a cell of
+    the wrong type or an unknown task raises, naming file, line and column."""
     with open(path, newline="", encoding="utf-8") as fh:
         try:
             return _report_rows(csv.DictReader(fh), path)
@@ -500,38 +506,39 @@ def _report_rows(reader: csv.DictReader, path) -> list[ReportRow]:
             except ValueError:
                 raise PermselError(f"{where}: column {col!r}: {v!r} is not "
                                    f"a valid {kind.__name__}") from None
+        require(kwargs["task"] in _SUMMARY_METRICS, f"{where}: column 'task'",
+                "'classification' or 'regression'", kwargs["task"])
         rows.append(ReportRow(**kwargs))
     return rows
 
 
 def _entry_label(method: str, k_label: str) -> str:
-    if k_label in ("subset", "all"):
-        return method
-    return f"{method}(k={k_label})"
+    return method if k_label in ("subset", "all") else f"{method}(k={k_label})"
 
 
-_TEST_METRICS = {
-    "classification": [("acc_test", Metric.ACC), ("ba_test", Metric.BA)],
-    "regression": [("nrmse_test", Metric.NRMSE), ("r2_test", Metric.R2)],
-}
-_OVERFIT_SPECS = {
-    "classification": [("acc", OverfitKind.ACC_RATIO), ("ba", OverfitKind.BA_RATIO)],
-    "regression": [("nrmse", OverfitKind.NRMSE_RATIO), ("r2", OverfitKind.R2_DIFF)],
+# task -> [(test-set metric, its overfitting measure)]; metric.value is the column stem
+_SUMMARY_METRICS = {
+    "classification": [(Metric.ACC, OverfitKind.ACC_RATIO),
+                       (Metric.BA, OverfitKind.BA_RATIO)],
+    "regression": [(Metric.NRMSE, OverfitKind.NRMSE_RATIO),
+                   (Metric.R2, OverfitKind.R2_DIFF)],
 }
 
 
-def aggregate(rows: list[ReportRow]) -> dict:
-    """Summary tables: per-entry means, win/loss rankings with pairwise
-    tests on test-set metrics, overfitting measures, and mean runtimes."""
+def aggregate(rows: list[ReportRow]) -> dict[str, list[dict]]:
+    """The summary tables, keyed by file stem: per-entry means,
+    overfitting measures, win/loss rankings with pairwise tests on
+    test-set metrics, and ranked mean runtimes. Each table is its rows,
+    and each row's keys are its columns, in order."""
     ok = [r for r in rows if r.status == "ok"]
     groups: dict[tuple[str, str, str], list[ReportRow]] = {}
     for r in ok:
         groups.setdefault((r.task, r.method, r.k_label), []).append(r)
     groups = dict(sorted(groups.items()))
-    tables: dict = {"means": [], "rankings": {}, "pairwise": {},
-                    "overfitting": [], "runtimes": []}
+    tables: dict[str, list[dict]] = {}
 
-    numeric = [c for c, (_, nullable) in _COLUMN_KINDS.items() if nullable]
+    # means.csv has its mean columns in name order
+    numeric = sorted(c for c, (_, nullable) in _COLUMN_KINDS.items() if nullable)
     for (task, method, k_label), sub in groups.items():
         rec = {"task": task, "method": method, "k_label": k_label,
                "entry": _entry_label(method, k_label), "n_rows": len(sub)}
@@ -540,22 +547,24 @@ def aggregate(rows: list[ReportRow]) -> dict:
         for col in numeric:
             vals = [getattr(r, col) for r in sub if getattr(r, col) is not None]
             rec[f"mean_{col}"] = float(np.mean(vals)) if vals else None
-        tables["means"].append(rec)
+        tables.setdefault("means", []).append(rec)
         over = {"task": task, "entry": rec["entry"],
                 "mean_selected": rec["mean_selected_count"]}
-        for stem, kind in _OVERFIT_SPECS[task]:
-            train, test = rec[f"mean_{stem}_train"], rec[f"mean_{stem}_test"]
+        for metric, kind in _SUMMARY_METRICS[task]:
+            train, test = (rec[f"mean_{metric.value}_{side}"] for side in ("train", "test"))
+            over[kind.value] = None  # no mean, or a zero denominator: an empty cell
             if train is not None and test is not None:
                 try:
                     over[kind.value] = overfit_ratio(train, test, kind)
-                except AnalysisError:  # a zero denominator: left empty
+                except AnalysisError:
                     pass
-        tables["overfitting"].append(over)
+        tables.setdefault(f"overfitting_{task}", []).append(over)
 
-    for task, metric_specs in _TEST_METRICS.items():
+    for task, metrics in _SUMMARY_METRICS.items():
         task_groups = [(_entry_label(method, k_label), sub)
                        for (t, method, k_label), sub in groups.items() if t == task]
-        for col, metric in metric_specs:
+        for metric, _ in metrics:
+            col = f"{metric.value}_test"
             per_entry: dict[str, dict[str, float]] = {}  # label -> dataset -> mean
             for label, sub in task_groups:
                 by_ds: dict[str, list[float]] = {}
@@ -564,19 +573,25 @@ def aggregate(rows: list[ReportRow]) -> dict:
                         by_ds.setdefault(r.dataset, []).append(getattr(r, col))
                 per_entry[label] = {d: float(np.mean(v)) for d, v in by_ds.items()}
             labels = sorted(per_entry)
-            samples = []
+            outcomes = []
             for i, la in enumerate(labels):
                 for lb in labels[i + 1:]:
                     shared = sorted(set(per_entry[la]) & set(per_entry[lb]))
-                    if not shared:
-                        continue
-                    va = tuple(per_entry[la][d] for d in shared)
-                    vb = tuple(per_entry[lb][d] for d in shared)
-                    samples.append(PairedSample(la, lb, metric, va, vb))
-            if samples:
-                outcomes = [compare_pair(s) for s in samples]
-                tables["rankings"][col] = win_loss_ranking(outcomes)
-                tables["pairwise"][col] = outcomes
+                    if shared:
+                        outcomes.append(compare_pair(PairedSample(
+                            la, lb, metric, tuple(per_entry[la][d] for d in shared),
+                            tuple(per_entry[lb][d] for d in shared))))
+            if outcomes:
+                tables[f"ranking_{col}"] = [
+                    {"method": r.method, "wins": r.wins, "losses": r.losses,
+                     "net": r.net} for r in win_loss_ranking(outcomes)]
+                tables[f"pairwise_{col}"] = [
+                    {"method_a": o.method_a, "method_b": o.method_b,
+                     "p_value": o.p_value, "mean_diff": o.mean_diff,
+                     "significant": o.significant,
+                     "display": _fmt(o.p_value) if o.significant
+                     else f"{_fmt(o.p_value)} ({_fmt(o.mean_diff)})"}
+                    for o in outcomes]
 
     # one runtime per (dataset, seed) cell, averaged in first-seen order
     runtimes: dict[tuple[str, str], dict[tuple[str, int], float]] = {}
@@ -584,52 +599,22 @@ def aggregate(rows: list[ReportRow]) -> dict:
         if r.runtime_seconds is not None:
             runtimes.setdefault((r.task, r.method), {}).setdefault(
                 (r.dataset, r.seed), r.runtime_seconds)
-    for (task, method), seen in sorted(runtimes.items()):
-        tables["runtimes"].append({
-            "task": task, "method": method,
-            "mean_runtime_seconds": float(np.mean(list(seen.values()))),
-        })
+    for task in _SUMMARY_METRICS:  # ranked by mean, ties in method order
+        means = sorted(((method, float(np.mean(list(seen.values()))))
+                        for (t, method), seen in sorted(runtimes.items()) if t == task),
+                       key=lambda m: m[1])
+        if means:
+            tables[f"runtimes_{task}"] = [
+                {"task": task, "method": method, "mean_runtime_seconds": mean,
+                 "rank": rank} for rank, (method, mean) in enumerate(means, start=1)]
     return tables
 
 
-def write_summary(summary_dir, tables: dict):
+def write_summary(summary_dir, tables: dict[str, list[dict]]):
+    """One CSV file per ``aggregate`` table, named by its stem."""
     os.makedirs(summary_dir, exist_ok=True)
-    if tables["means"]:
-        cols = ["task", "method", "k_label", "entry", "n_rows",
-                "median_selected_count"] + \
-            sorted({k for rec in tables["means"] for k in rec if k.startswith("mean_")})
-        _write_table(os.path.join(summary_dir, "means.csv"), tables["means"], cols)
-    for col, ranking in tables["rankings"].items():
-        records = [{"method": r.method, "wins": r.wins, "losses": r.losses,
-                    "net": r.net} for r in ranking]
-        _write_table(os.path.join(summary_dir, f"ranking_{col}.csv"), records,
-                     ["method", "wins", "losses", "net"])
-    for col, outcomes in tables["pairwise"].items():
-        records = []
-        for o in outcomes:
-            if o.significant:
-                display = _fmt(o.p_value)
-            else:
-                display = f"{_fmt(o.p_value)} ({_fmt(o.mean_diff)})"
-            records.append({"method_a": o.method_a, "method_b": o.method_b,
-                            "p_value": o.p_value, "mean_diff": o.mean_diff,
-                            "significant": o.significant, "display": display})
-        _write_table(os.path.join(summary_dir, f"pairwise_{col}.csv"), records,
-                     ["method_a", "method_b", "p_value", "mean_diff", "significant",
-                      "display"])
-    for task in ("classification", "regression"):
-        recs = [r for r in tables["overfitting"] if r["task"] == task]
-        if recs:
-            extra = [kind.value for _, kind in _OVERFIT_SPECS[task]]
-            _write_table(os.path.join(summary_dir, f"overfitting_{task}.csv"), recs,
-                         ["task", "entry", "mean_selected"] + extra)
-        rt = [r for r in tables["runtimes"] if r["task"] == task]
-        if rt:
-            rt = sorted(rt, key=lambda r: r["mean_runtime_seconds"])
-            for rank, rec in enumerate(rt, start=1):
-                rec["rank"] = rank
-            _write_table(os.path.join(summary_dir, f"runtimes_{task}.csv"), rt,
-                         ["task", "method", "mean_runtime_seconds", "rank"])
+    for stem, records in tables.items():
+        _write_table(os.path.join(summary_dir, f"{stem}.csv"), records, list(records[0]))
 
 
 def _fmt(v) -> str:

@@ -7,25 +7,36 @@ and a midrank loop for the signed-rank test, column-by-column loops for
 the subset shuffle and permutation importance, tree-by-tree forest
 prediction, a tree grown one node at a time with a stable sort per
 split search, a CSV loader that reads every row before converting
-cell by cell, and the stratified split's repair as a loop of closures.
+cell by cell, the stratified split's repair as a loop of closures, and
+the summary tables built as objects and then reshaped into CSV rows.
 None of it shares code with the package beyond the evaluation context
-or fitted trees it is handed, and the dataset and error types the
-loader builds.
+or fitted trees it is handed, the dataset and error types the loader
+builds, and the statistics the summary tables report.
 """
 
 import csv
 import itertools
+import os
 
 import numpy as np
 
+from permsel.analysis import (
+    OverfitKind,
+    PairedSample,
+    compare_pair,
+    overfit_ratio,
+    win_loss_ranking,
+)
 from permsel.dataset import Dataset, Task
 from permsel.errors import (
+    AnalysisError,
     DatasetError,
     EmptyDataError,
     MissingValueError,
     NonNumericValueError,
     SingleClassError,
 )
+from permsel.metrics import Metric
 
 
 def _dominates(a, b):
@@ -463,3 +474,155 @@ def stratified_allocation_reference(counts, n_train, n_val):
     out[:, 1] = b - a
     out[:, 2] = counts - b
     return out
+
+
+# the nullable report columns, in report order
+_SUMMARY_NUMERIC = ["selected_count", "acc_train", "ba_train", "rmse_train",
+                    "nrmse_train", "r2_train", "acc_test", "ba_test", "rmse_test",
+                    "nrmse_test", "r2_test", "runtime_seconds"]
+_TEST_METRICS = {
+    "classification": [("acc_test", Metric.ACC), ("ba_test", Metric.BA)],
+    "regression": [("nrmse_test", Metric.NRMSE), ("r2_test", Metric.R2)],
+}
+_OVERFIT_SPECS = {
+    "classification": [("acc", OverfitKind.ACC_RATIO), ("ba", OverfitKind.BA_RATIO)],
+    "regression": [("nrmse", OverfitKind.NRMSE_RATIO), ("r2", OverfitKind.R2_DIFF)],
+}
+
+
+def write_summary_reference(summary_dir, rows):
+    """The ``summary/`` files of report rows, as ``runner.write_summary``
+    wrote them when ``runner.aggregate`` built its tables as objects and
+    dicts and ``write_summary`` reshaped each into CSV rows."""
+    _write_summary(summary_dir, _aggregate(rows))
+
+
+def _entry_label(method, k_label):
+    if k_label in ("subset", "all"):
+        return method
+    return f"{method}(k={k_label})"
+
+
+def _aggregate(rows):
+    ok = [r for r in rows if r.status == "ok"]
+    groups = {}
+    for r in ok:
+        groups.setdefault((r.task, r.method, r.k_label), []).append(r)
+    groups = dict(sorted(groups.items()))
+    tables = {"means": [], "rankings": {}, "pairwise": {},
+              "overfitting": [], "runtimes": []}
+
+    for (task, method, k_label), sub in groups.items():
+        rec = {"task": task, "method": method, "k_label": k_label,
+               "entry": _entry_label(method, k_label), "n_rows": len(sub)}
+        counts = [r.selected_count for r in sub if r.selected_count is not None]
+        rec["median_selected_count"] = float(np.median(counts)) if counts else None
+        for col in _SUMMARY_NUMERIC:
+            vals = [getattr(r, col) for r in sub if getattr(r, col) is not None]
+            rec[f"mean_{col}"] = float(np.mean(vals)) if vals else None
+        tables["means"].append(rec)
+        over = {"task": task, "entry": rec["entry"],
+                "mean_selected": rec["mean_selected_count"]}
+        for stem, kind in _OVERFIT_SPECS[task]:
+            train, test = rec[f"mean_{stem}_train"], rec[f"mean_{stem}_test"]
+            if train is not None and test is not None:
+                try:
+                    over[kind.value] = overfit_ratio(train, test, kind)
+                except AnalysisError:  # a zero denominator: left empty
+                    pass
+        tables["overfitting"].append(over)
+
+    for task, metric_specs in _TEST_METRICS.items():
+        task_groups = [(_entry_label(method, k_label), sub)
+                       for (t, method, k_label), sub in groups.items() if t == task]
+        for col, metric in metric_specs:
+            per_entry = {}  # label -> dataset -> mean
+            for label, sub in task_groups:
+                by_ds = {}
+                for r in sub:
+                    if getattr(r, col) is not None:
+                        by_ds.setdefault(r.dataset, []).append(getattr(r, col))
+                per_entry[label] = {d: float(np.mean(v)) for d, v in by_ds.items()}
+            labels = sorted(per_entry)
+            samples = []
+            for i, la in enumerate(labels):
+                for lb in labels[i + 1:]:
+                    shared = sorted(set(per_entry[la]) & set(per_entry[lb]))
+                    if not shared:
+                        continue
+                    va = tuple(per_entry[la][d] for d in shared)
+                    vb = tuple(per_entry[lb][d] for d in shared)
+                    samples.append(PairedSample(la, lb, metric, va, vb))
+            if samples:
+                outcomes = [compare_pair(s) for s in samples]
+                tables["rankings"][col] = win_loss_ranking(outcomes)
+                tables["pairwise"][col] = outcomes
+
+    # one runtime per (dataset, seed) cell, averaged in first-seen order
+    runtimes = {}
+    for r in ok:
+        if r.runtime_seconds is not None:
+            runtimes.setdefault((r.task, r.method), {}).setdefault(
+                (r.dataset, r.seed), r.runtime_seconds)
+    for (task, method), seen in sorted(runtimes.items()):
+        tables["runtimes"].append({
+            "task": task, "method": method,
+            "mean_runtime_seconds": float(np.mean(list(seen.values()))),
+        })
+    return tables
+
+
+def _write_summary(summary_dir, tables):
+    os.makedirs(summary_dir, exist_ok=True)
+    if tables["means"]:
+        cols = ["task", "method", "k_label", "entry", "n_rows",
+                "median_selected_count"] + \
+            sorted({k for rec in tables["means"] for k in rec if k.startswith("mean_")})
+        _write_table(os.path.join(summary_dir, "means.csv"), tables["means"], cols)
+    for col, ranking in tables["rankings"].items():
+        records = [{"method": r.method, "wins": r.wins, "losses": r.losses,
+                    "net": r.net} for r in ranking]
+        _write_table(os.path.join(summary_dir, f"ranking_{col}.csv"), records,
+                     ["method", "wins", "losses", "net"])
+    for col, outcomes in tables["pairwise"].items():
+        records = []
+        for o in outcomes:
+            if o.significant:
+                display = _fmt(o.p_value)
+            else:
+                display = f"{_fmt(o.p_value)} ({_fmt(o.mean_diff)})"
+            records.append({"method_a": o.method_a, "method_b": o.method_b,
+                            "p_value": o.p_value, "mean_diff": o.mean_diff,
+                            "significant": o.significant, "display": display})
+        _write_table(os.path.join(summary_dir, f"pairwise_{col}.csv"), records,
+                     ["method_a", "method_b", "p_value", "mean_diff", "significant",
+                      "display"])
+    for task in ("classification", "regression"):
+        recs = [r for r in tables["overfitting"] if r["task"] == task]
+        if recs:
+            extra = [kind.value for _, kind in _OVERFIT_SPECS[task]]
+            _write_table(os.path.join(summary_dir, f"overfitting_{task}.csv"), recs,
+                         ["task", "entry", "mean_selected"] + extra)
+        rt = [r for r in tables["runtimes"] if r["task"] == task]
+        if rt:
+            rt = sorted(rt, key=lambda r: r["mean_runtime_seconds"])
+            for rank, rec in enumerate(rt, start=1):
+                rec["rank"] = rank
+            _write_table(os.path.join(summary_dir, f"runtimes_{task}.csv"), rt,
+                         ["task", "method", "mean_runtime_seconds", "rank"])
+
+
+def _write_table(path, records, columns):
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        for rec in records:
+            writer.writerow([_fmt(rec.get(c)) for c in columns])
+
+
+def _fmt(v):
+    if v is None:
+        return ""
+    if isinstance(v, float):
+        return repr(v)
+    return str(v)

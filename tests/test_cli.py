@@ -262,6 +262,8 @@ class TestErrors:
         ("header", "line 1: no column 'method'"),
         ("seed", "line 3: column 'seed': 'x' is not a valid int"),
         ("short_row", "line 2: no cell for column 'selected_count'"),
+        ("task", "line 3: column 'task' must be 'classification' or 'regression', "
+                 "got 'cls'"),
     ])
     def test_report_fault_is_one_line(self, tmp_path, capsys, fault, where):
         report = tmp_path / "reports" / "report.csv"
@@ -273,6 +275,8 @@ class TestErrors:
             lines[0] = "dataset,task"
         elif fault == "seed":
             lines[2] = lines[2].replace("corr,5,1,", "corr,5,x,")
+        elif fault == "task":
+            lines[2] = lines[2].replace("d,regression,", "d,cls,")
         else:
             lines[1] = "d,regression,corr,5,0"
         report.write_text("\n".join(lines) + "\n")

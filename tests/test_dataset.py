@@ -342,6 +342,11 @@ class TestSplit:
         part = split(ds, seed=1)
         assert (len(part.train_idx), len(part.val_idx), len(part.test_idx)) == (3, 1, 1)
 
+    def test_every_part_nonempty_from_5_rows(self):
+        for s in range(5, 2001):
+            sizes = dataset_mod._part_sizes(s)
+            assert min(sizes) >= 1 and sum(sizes) == s, s
+
     def test_deterministic(self, small_regression):
         p1 = split(small_regression, seed=9)
         p2 = split(small_regression, seed=9)

@@ -1,6 +1,9 @@
+import copy
 import csv
 import dataclasses
+import itertools
 import json
+import os
 import re
 
 import numpy as np
@@ -25,6 +28,8 @@ from permsel.runner import (
     write_report_csv,
     write_summary,
 )
+
+from oracles import write_summary_reference
 
 MOEA_PARAMS = {"population_size": 8, "generations": 3, "init_prob": 0.5}
 SYN = DatasetSpec("syn", Task.REGRESSION,
@@ -449,6 +454,12 @@ class TestConfigFailsFast:
          "datasets[0].name must be free of path separators and NUL, got 'a/b'"),
         (lambda raw: raw["datasets"][0].update(name="a\0b"),
          "datasets[0].name must be free of path separators and NUL, got 'a\\x00b'"),
+        (lambda raw: raw.update(k_values=[]),
+         "k_values must be a list holding an integer, or an 'N1' or 'N2' whose "
+         "subset method is configured, when a ranking method is, got []"),
+        (lambda raw: raw.update(k_values=["N2"]),
+         "k_values must be a list holding an integer, or an 'N1' or 'N2' whose "
+         "subset method is configured, when a ranking method is, got ['N2']"),
     ])
     def test_load_config_names_bad_key(self, tmp_path, edit, message):
         raw = {
@@ -563,6 +574,8 @@ class TestValidatorMessages:
          PermselError, "name must be free of path separators and NUL, got 'a/b'"),
         (lambda: DatasetSpec("d", Task.REGRESSION, path=3).validate(),
          PermselError, "path must be a string, got 3"),
+        (lambda: DatasetSpec("c", "classification", path="c.csv").validate("d."),
+         PermselError, "d.task must be a Task, got 'classification'"),
         (lambda: MethodSpec("pfi-v2", {"repeats": 0}).validate("m."), PermselError,
          "m.repeats must be an integer >= 1, got 0"),
         (lambda: MethodSpec("infogain", {"bins": 2.5}).validate(), PermselError,
@@ -684,13 +697,22 @@ class TestReportCsv:
         for a, b in zip(mini_rows, back):
             assert a.__dict__ == b.__dict__
 
+    def test_unknown_task_names_file_line_and_column(self, tmp_path):
+        path = tmp_path / "report.csv"
+        write_report_csv(path, [ReportRow("d", task, "corr", "5", 0)
+                                for task in ("classification", "regression", "cls")])
+        with pytest.raises(PermselError) as info:
+            read_report_csv(path)
+        assert str(info.value) == (f"{path}: line 4: column 'task' must be "
+                                   "'classification' or 'regression', got 'cls'")
+
 
 class TestAggregate:
     def test_single_method_means_only(self, tmp_path):
         rows = run_experiment(_mini_config(tmp_path, methods=[MethodSpec("corr")]))
         tables = aggregate(rows)
         assert tables["means"]
-        assert tables["rankings"] == {}
+        assert not [stem for stem in tables if stem.startswith(("ranking_", "pairwise_"))]
 
     def test_identical_methods_no_decisions(self):
         rows = []
@@ -701,10 +723,10 @@ class TestAggregate:
                                       r2_test=0.5, rmse_train=0.9,
                                       nrmse_train=0.45, r2_train=0.6))
         tables = aggregate(rows)
-        for outcomes in tables["pairwise"].values():
-            assert all(not o.significant and o.p_value == 1.0 for o in outcomes)
-        for ranking in tables["rankings"].values():
-            assert all(r.net == 0 for r in ranking)
+        for stem in ("nrmse_test", "r2_test"):
+            assert all(not o["significant"] and o["p_value"] == 1.0
+                       for o in tables[f"pairwise_{stem}"])
+            assert all(r["net"] == 0 for r in tables[f"ranking_{stem}"])
 
     @staticmethod
     def _planted_rows():
@@ -721,10 +743,9 @@ class TestAggregate:
         return rows
 
     def test_planted_winner_ranks_first(self):
-        tables = aggregate(self._planted_rows())
-        ranking = tables["rankings"]["r2_test"]
-        assert ranking[0].method == "good"
-        assert ranking[0].wins == 1
+        ranking = aggregate(self._planted_rows())["ranking_r2_test"]
+        assert ranking[0]["method"] == "good"
+        assert ranking[0]["wins"] == 1
 
     def test_significant_pair_displays_p_value_alone(self, tmp_path):
         write_summary(tmp_path, aggregate(self._planted_rows()))
@@ -735,13 +756,14 @@ class TestAggregate:
         assert rec["display"] == rec["p_value"]
 
     def test_overfitting_table_rows(self, mini_rows):
-        tables = aggregate(mini_rows)
-        entries = {rec["entry"] for rec in tables["overfitting"]}
+        over = aggregate(mini_rows)["overfitting_regression"]
+        entries = {rec["entry"] for rec in over}
         assert "subset-v1" in entries
         assert "all" in entries
-        for rec in tables["overfitting"]:
-            assert "nrmse_ratio" in rec
-            assert "r2_diff" in rec
+        for rec in over:
+            assert list(rec) == ["task", "entry", "mean_selected", "nrmse_ratio",
+                                 "r2_diff"]
+            assert rec["nrmse_ratio"] is not None and rec["r2_diff"] is not None
 
     def test_undefined_overfit_ratio_is_an_empty_cell(self, tmp_path):
         # 10 rows of alternating labels: the forest on all features gets
@@ -767,13 +789,72 @@ class TestAggregate:
         row = ReportRow("d", "regression", "m", "subset", 0, 3, rmse_train=0.0,
                         nrmse_train=0.0, r2_train=1.0, rmse_test=1.0,
                         nrmse_test=0.5, r2_test=0.2)
-        (over,) = aggregate([row])["overfitting"]
-        assert "nrmse_ratio" not in over and over["r2_diff"] == 0.8
+        (over,) = aggregate([row])["overfitting_regression"]
+        assert over["nrmse_ratio"] is None and over["r2_diff"] == 0.8
 
     def test_runtimes_table(self, mini_rows):
-        tables = aggregate(mini_rows)
-        methods = {rec["method"] for rec in tables["runtimes"]}
+        runtimes = aggregate(mini_rows)["runtimes_regression"]
+        methods = {rec["method"] for rec in runtimes}
         assert {"subset-v1", "pfi-v1", "corr", "all"} <= methods
+        assert [rec["rank"] for rec in runtimes] == list(range(1, len(runtimes) + 1))
+        means = [rec["mean_runtime_seconds"] for rec in runtimes]
+        assert means == sorted(means)
+
+    @staticmethod
+    def _random_rows(rng):
+        """Report rows of a few entries of each task over up to 8 datasets
+        and 3 seeds, in random order: some are error rows, and any value
+        may be missing, 0 or tied with another."""
+        def maybe(value):
+            return None if rng.random() < 0.1 else value
+
+        entries = [("corr", "2"), ("corr", "N1"), ("pfi-v1", "2"),
+                   ("subset-v1", "subset"), ("all", "all")]
+        rows = []
+        for task, metrics in (("classification", ("acc", "ba")),
+                              ("regression", ("rmse", "nrmse", "r2"))):
+            chosen = rng.choice(len(entries), size=rng.integers(0, 5), replace=False)
+            for ds_i in range(rng.integers(1, 9)):
+                for (method, k_label), seed in itertools.product(
+                        [entries[j] for j in chosen], range(rng.integers(1, 4))):
+                    if rng.random() < 0.1:
+                        rows.append(ReportRow(f"d{ds_i}", task, method, "-", seed,
+                                              status="error", error="boom"))
+                        continue
+                    rows.append(ReportRow(
+                        f"d{ds_i}", task, method, k_label, seed,
+                        selected_count=maybe(int(rng.integers(1, 20))),
+                        runtime_seconds=maybe(float(rng.choice([0.0, 0.5, 1.5]))),
+                        **{f"{metric}_{side}": maybe(float(rng.choice(
+                            [0.0, 0.25, 0.5, rng.random()])))
+                           for metric in metrics for side in ("train", "test")}))
+        return [rows[i] for i in rng.permutation(len(rows))]
+
+    def test_summary_files_match_reference(self, tmp_path):
+        """``write_summary(aggregate(rows))`` writes the files, byte for
+        byte, of the summary code that reshaped object tables into rows."""
+        rng = np.random.default_rng(26)
+        single = ReportRow("d", "regression", "m", "subset", 0, 3, rmse_train=0.0,
+                           nrmse_train=0.0, r2_train=1.0, rmse_test=1.0,
+                           nrmse_test=0.5, r2_test=0.2, runtime_seconds=0.5)
+        tied = [ReportRow(f"d{i}", "classification", method, "all", 0, 3,
+                          acc_train=1.0, ba_train=1.0, acc_test=0.0, ba_test=0.5,
+                          runtime_seconds=1.0)
+                for i in range(3) for method in ("b", "a", "c")]
+        row_sets = ([[], [single], tied, self._planted_rows()]
+                    + [self._random_rows(rng) for _ in range(120)])
+        for i, rows in enumerate(row_sets):
+            ref, new = tmp_path / f"ref{i}", tmp_path / f"new{i}"
+            write_summary_reference(ref, rows)
+            tables = aggregate(rows)
+            before = copy.deepcopy(tables)
+            write_summary(new, tables)
+            assert tables == before  # nothing is added as the files are written
+            names = sorted(os.listdir(ref))
+            assert sorted(os.listdir(new)) == names
+            for name in names:
+                assert (new / name).read_bytes() == (ref / name).read_bytes(), (i, name)
+        assert os.listdir(tmp_path / "ref0") == []
 
 
 class TestLoadConfig:
