@@ -120,13 +120,43 @@ class RandomForestModel:
 
     @classmethod
     def from_json(cls, text: str) -> "RandomForestModel":
+        """The forest of ``to_json``'s text, whose trees are checked so
+        that a malformed one raises here, not in a prediction."""
         d = json.loads(text)
-        if d.get("format") != _FORMAT:
+        if not isinstance(d, dict) or d.get("format") != _FORMAT:
             raise LearnerError("not a serialized forest")
         if d.get("version") != _FORMAT_VERSION:
             raise LearnerError(f"unsupported version {d.get('version')}")
-        trees = [Tree.from_dict(td) for td in d["trees"]]
-        return cls(trees, Task(d["task"]), d["n_features"], d["class_count"])
+        n_features, trees = d.get("n_features"), d.get("trees")
+        require(is_int(n_features) and n_features >= 1, "n_features", "an integer >= 1",
+                n_features, LearnerError)
+        require(isinstance(trees, list) and trees, "trees", "a non-empty list", trees,
+                LearnerError)
+        trees = [_checked_tree(td, n_features, f"trees[{i}]") for i, td in enumerate(trees)]
+        return cls(trees, Task(d["task"]), n_features, d["class_count"])
+
+
+def _checked_tree(d, n_features: int, name: str) -> Tree:
+    """The tree of a ``Tree.to_dict`` dict, checked so that no walk can
+    cycle: a leaf holds -1 in feature, left and right, and an internal node
+    tests a feature below ``n_features`` and has its children after it."""
+    try:
+        tree = Tree(*(d[s] for s in Tree.__slots__))
+    except (TypeError, KeyError, ValueError, OverflowError):  # not a dict of numbers
+        tree = None
+    size = 0 if tree is None else tree.feature.size
+    if not size or {getattr(tree, s).shape for s in Tree.__slots__} != {(size,)}:
+        raise LearnerError(f"{name} must hold the lists {', '.join(Tree.__slots__)}, "
+                           "of numbers and of one nonzero length")
+    feature, left, right = tree.feature, tree.left, tree.right
+    ok = np.where(feature == -1, (left == -1) & (right == -1),
+                  (feature >= 0) & (feature < n_features) & (left > np.arange(size))
+                  & (left < size - 1) & (right == left + 1))
+    if not ok.all():
+        bad = int(np.argmin(ok))
+        raise LearnerError(f"{name} node {bad}: neither a leaf (all -1) nor a split on a feature "
+                           f"below {n_features} into nodes l, l + 1 with {bad} < l < {size - 1}")
+    return tree
 
 
 def fit(spec: LearnerSpec, data: RowView) -> RandomForestModel:

@@ -645,8 +645,8 @@ def load_config(path) -> ExperimentConfig:
         if synth is not None:
             _check_fields(SyntheticSpec, synth, f"datasets[{i}].synthetic.")
             synth = _from_entries(SyntheticSpec, synth)
-        datasets.append(_from_entries(DatasetSpec, d, task=parse_task(d["task"]),
-                                      synthetic=synth))
+        task = parse_task(d["task"], f"datasets[{i}].task")
+        datasets.append(_from_entries(DatasetSpec, d, task=task, synthetic=synth))
     methods = []
     for i, m in enumerate(_expect(raw["methods"], list, "methods")):
         if "kind" not in _expect(m, dict, f"methods[{i}]"):
@@ -701,10 +701,11 @@ def _from_entries(cls, entries: dict, **overrides):
     return cls(**{**given, **overrides})
 
 
-def parse_task(text: str) -> Task:
+def parse_task(text: str, key: str = "--task") -> Task:
+    """The task that ``text`` names; any other value raises, naming ``key``."""
     t = text.lower() if isinstance(text, str) else text
     if t in ("classification", "cls", "c"):
         return Task.CLASSIFICATION
-    if t in ("regression", "reg", "r"):
-        return Task.REGRESSION
-    raise PermselError(f"unknown task {text!r}")
+    require(t in ("regression", "reg", "r"), key,
+            "'classification' or 'regression' (or 'cls', 'c', 'reg', 'r')", text)
+    return Task.REGRESSION

@@ -53,10 +53,6 @@ class Tree:
     def to_dict(self) -> dict:
         return {name: getattr(self, name).tolist() for name in self.__slots__}
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "Tree":
-        return cls(*(d[name] for name in cls.__slots__))
-
 
 class CompiledForest:
     """The nodes of several trees in one table, for batched traversal.
@@ -395,73 +391,6 @@ def _search_block(search, nodes):
                    else None for i in range(B)]
 
 
-def _floyd(v, m):
-    """The ascending sets that Floyd's algorithm makes of the rows of v,
-    where ``v[:, t]`` was drawn from [0, m - k + t] (k columns).
-
-    Floyd's step t takes ``v[:, t]``, or ``m - k + t`` when that value is
-    taken already. A value below m - k can only have been taken as an
-    earlier draw. A value ``m - k + u`` (u < t) is taken when an earlier
-    draw equals it (only draws u and later can) or when step u took it
-    in place of a collision, so ``collided[t] = seen[t] or (collided[u]
-    when v[t] = m - k + u, u < t)``. That chain is followed in rounds over
-    all rows at once, each round one link deeper, until nothing changes.
-    """
-    n, k = v.shape
-    t = np.arange(k)
-    first = np.arange(0, n * k, k)[:, None]   # flat index of each row's draw 0
-    # seen[r, t]: draw t of row r repeats an earlier draw of the row (the
-    # keys v * k + t sort each row by value, then by draw)
-    key = v * k + t
-    key.sort(axis=1)
-    value, draw = np.divmod(key, k)
-    seen = np.zeros(n * k, dtype=bool)
-    seen[draw[:, 1:] + first] = value[:, 1:] == value[:, :-1]
-    seen = seen.reshape(n, k)
-    u = v - (m - k)
-    chained = (u >= 0) & (u < t)
-    link = np.where(chained, u, 0) + first
-    collided = seen
-    while True:
-        deeper = seen | chained & collided.reshape(-1)[link]
-        if np.array_equal(deeper, collided):
-            break
-        collided = deeper
-    return np.sort(np.where(collided, m - k + t, v), axis=1)
-
-
-def _draw_candidates(growths):
-    """Give every growth that draws its candidates in chunks the sorted
-    candidate sets of its next ``_CANDIDATE_CHUNK`` nodes, from one
-    ``rng.integers`` call per tree.
-
-    They are the sets that as many calls of ``np.sort(rng.choice(m, k,
-    replace=False))`` return, and the stream ends where theirs does:
-    ``choice`` runs Floyd's algorithm, which draws from [0, j] for
-    j = m - k ... m - 1, and then shuffles the k values it took, drawing
-    from [0, i] for i = k - 1 ... 1. The shuffle does not change the
-    sorted set, so only its draws are taken. The collisions are resolved
-    (``_floyd``) for the trees of one (pool size, k) at once, in blocks
-    of at most ``_BUDGET`` candidates.
-    """
-    chunk = _CANDIDATE_CHUNK
-    by_shape = {}
-    for g in growths:
-        if g.chunked:
-            by_shape.setdefault((g.pool.size, g.max_features), []).append(g)
-    for (m, k), group in by_shape.items():
-        bounds = np.tile(np.concatenate((np.arange(m - k + 1, m + 1),
-                                         np.arange(k, 1, -1))), chunk)
-        step = max(1, _BUDGET // (chunk * k))
-        for lo in range(0, len(group), step):
-            block = group[lo:lo + step]
-            v = np.stack([g.rng.integers(0, bounds).reshape(chunk, -1)[:, :k]
-                          for g in block])
-            sets = _floyd(v.reshape(-1, k), m).reshape(v.shape)
-            for g, s in zip(block, sets):
-                g.drawn = g.pool[s]
-
-
 def _partition(X, split, splits, kept):
     """The rows of all the nodes of a step in one array, and the edges of
     its segments: node i of ``split`` is cut on ``splits[i] = (feature,
@@ -514,37 +443,24 @@ class _Growth:
     """One tree being grown: its stream, its candidate pool (ascending
     columns of X) and how many candidates a node draws from it, its
     depth-first stack of the (node, rows, depth) that need a split
-    search, and its node buffers. A tree whose nodes draw from a part of
-    the pool through Floyd's algorithm draws them ``_CANDIDATE_CHUNK``
-    nodes at a time (``chunked``; ``drawn`` holds the sets). A split
-    appends its two children as leaves to the buffers, and records the
-    column of X it tests until ``tree`` maps it into the pool."""
+    search, and its node buffers. A split appends its two children as
+    leaves to the buffers, and records the column of X it tests until
+    ``tree`` maps it into the pool."""
 
-    __slots__ = ("rng", "pool", "max_features", "chunked", "drawn", "stack",
-                 "feature", "threshold", "left", "value")
+    __slots__ = ("rng", "pool", "max_features", "stack", "feature", "threshold", "left", "value")
 
     def __init__(self, rng, pool, max_features):
         self.rng = rng
         self.pool = pool
-        self.max_features = k = max_features
-        m = pool.size
-        # above 10000 columns numpy's choice shuffles the tail of the pool
-        # in place of Floyd's algorithm once k > m // 50
-        self.chunked = k < m and not (m > 10000 and k > m // 50)
-        self.drawn = None
+        self.max_features = max_features
         self.stack = []
         self.feature, self.left = array("i", [_LEAF]), array("i", [_LEAF])
         self.threshold, self.value = array("d", [0.0]), array("d", [0.0])
 
-    def candidates(self, step):
-        """The ascending columns of X that the node searched at ``step``
-        (counted from the first step of its group) searches."""
+    def candidates(self):
+        """The ascending columns of X that the next node searches."""
         k, m = self.max_features, self.pool.size
-        if self.chunked:
-            return self.drawn[step % _CANDIDATE_CHUNK]
-        if k < m:
-            return self.pool[np.sort(self.rng.choice(m, size=k, replace=False))]
-        return self.pool
+        return self.pool[np.sort(self.rng.choice(m, k, replace=False))] if k < m else self.pool
 
     def split(self, node, feature, threshold) -> int:
         """Make ``node`` internal; returns the id of its new left child,
@@ -570,8 +486,6 @@ class _Growth:
 # Trees x rows that grow in one lockstep group: the trees of a group
 # hold their stacks and node buffers at once
 _GROUP_ROWS = 1 << 15
-# Nodes whose candidate sets a tree draws at once
-_CANDIDATE_CHUNK = 16
 
 
 def grow_forest(X, y, rngs, pools, max_features, *, bootstrap: bool,
@@ -741,7 +655,6 @@ def _grow_share(search, rngs, pools, max_features, *, bootstrap: bool,
                np.concatenate([g.rng.integers(0, n, size=n) if bootstrap else every_row
                                for _, g in live]),
                np.arange(0, n * len(live) + 1, n))
-        step = 0
         while True:
             for t, g in live:
                 if not g.stack:  # every node is settled: copy the tree out of its buffers
@@ -749,12 +662,8 @@ def _grow_share(search, rngs, pools, max_features, *, bootstrap: bool,
             live = [(t, g) for t, g in live if g.stack]
             if not live:
                 break
-            if step % _CANDIDATE_CHUNK == 0:
-                _draw_candidates([g for _, g in live])
             popped = [(g,) + g.stack.pop() for _, g in live]
-            found = _best_splits(search, [(rows, g.candidates(step))
-                                          for g, _, rows, _ in popped])
-            step += 1
+            found = _best_splits(search, [(rows, g.candidates()) for g, _, rows, _ in popped])
             split = [(it, best) for it, best in zip(popped, found) if best is not None]
             kept = [it for it, best in zip(popped, found) if best is None]
             rows, edges = _partition(X, [rows for (_, _, rows, _), _ in split],

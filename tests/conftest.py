@@ -1,5 +1,6 @@
 import os
 import re
+import signal
 
 import numpy as np
 import pytest
@@ -27,6 +28,34 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
             name, outcome = found[num]
             mark = "PASS" if outcome == "passed" else "FAIL"
             terminalreporter.write_line(f"criterion {num:2d}: {mark}  {name}")
+
+
+# Seconds a test may run before it fails: far above the slowest test (a
+# desk-scale criterion, ~25 s on 2 cores), so that a hang, such as a walk
+# that never reaches a leaf, fails its test instead of stalling the suite
+TEST_TIMEOUT_S = 300
+
+
+@pytest.fixture(autouse=True)
+def time_limit(request):
+    """Fail the test, naming it, once it has run ``TEST_TIMEOUT_S``
+    seconds (where SIGALRM exists). The alarm is disarmed and the old
+    handler restored after the test; a forked child inherits no alarm."""
+    if not hasattr(signal, "SIGALRM"):
+        yield
+        return
+    limit = TEST_TIMEOUT_S
+
+    def expire(signum, frame):
+        pytest.fail(f"{request.node.nodeid} ran past its {limit} s limit", pytrace=False)
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(limit)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
 
 
 @pytest.fixture(autouse=True)

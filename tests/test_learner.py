@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -255,6 +257,46 @@ class TestSerialization:
                      '{"format": "permsel-random-forest", "version": 2}'):
             with pytest.raises(LearnerError):
                 RandomForestModel.from_json(text)
+        stump = {"feature": [0, -1, -1], "threshold": [0.5, 0.0, 0.0],
+                 "left": [1, -1, -1], "right": [2, -1, -1], "value": [0.0, 1.0, 2.0]}
+        RandomForestModel.from_json(self._forest([stump]))   # well formed
+        leaf = {"feature": [-1], "threshold": [0.0], "left": [-1], "right": [-1],
+                "value": [1.0]}
+        for trees, match in (
+                (None, "trees must be a non-empty list"),
+                ([], "trees must be a non-empty list"),
+                ([leaf, [1]], r"trees\[1\] must hold the lists"),
+                ([{**leaf, "value": None}], r"trees\[0\] must hold the lists"),
+                ([{**leaf, "value": [1.0, 2.0]}], "one nonzero length"),
+                ([{name: [] for name in leaf}], "one nonzero length"),
+                ([{**leaf, "value": ["x"]}], r"trees\[0\] must hold the lists"),
+                ([{**leaf, "left": [[-1]]}], "one nonzero length"),
+                ([{**leaf, "left": -1}], "one nonzero length"),
+                # node 0 is its own child: predict would never leave it
+                ([{"feature": [0], "threshold": [0.5], "left": [0], "right": [0],
+                   "value": [1.0]}], r"trees\[0\] node 0"),
+                ([leaf, {**stump, "left": [5, -1, -1], "right": [6, -1, -1]}],
+                 r"trees\[1\] node 0"),
+                ([{**stump, "right": [1, -1, -1]}], r"trees\[0\] node 0"),
+                ([{**stump, "feature": [3, -1, -1]}], r"trees\[0\] node 0.* below 1 "),
+                ([{**stump, "left": [1, 0, -1]}], r"trees\[0\] node 1"),
+                # the right child one past the last node
+                ([{**stump, "left": [2, -1, -1], "right": [3, -1, -1]}],
+                 r"trees\[0\] node 0.* with 0 < l < 2")):
+            with pytest.raises(LearnerError, match=match):
+                RandomForestModel.from_json(self._forest(trees))
+        with pytest.raises(LearnerError, match="n_features must be an integer >= 1"):
+            RandomForestModel.from_json(self._forest([leaf], n_features=None))
+        no_trees = json.loads(self._forest([leaf]))
+        del no_trees["trees"]
+        with pytest.raises(LearnerError, match="trees must be a non-empty list"):
+            RandomForestModel.from_json(json.dumps(no_trees))
+
+    @staticmethod
+    def _forest(trees, n_features=1):
+        return json.dumps({"format": "permsel-random-forest", "version": 1,
+                           "task": "regression", "n_features": n_features,
+                           "class_count": None, "trees": trees})
 
 
 class TestMaxFeatures:

@@ -426,7 +426,15 @@ class TestConfigFailsFast:
         (lambda raw: raw.update(workers="2"), "workers"),
         (lambda raw: raw.update(seeds=3), "seeds"),
         (lambda raw: raw["methods"][0].update(generations="5"), "generations"),
-        (lambda raw: raw["datasets"][0].update(task=3), "unknown task 3"),
+        (lambda raw: raw["datasets"][0].update(task=3),
+         "datasets[0].task must be 'classification' or 'regression' "
+         "(or 'cls', 'c', 'reg', 'r'), got 3"),
+        (lambda raw: raw["datasets"][0].update(task="classif"),
+         "datasets[0].task must be 'classification' or 'regression' "
+         "(or 'cls', 'c', 'reg', 'r'), got 'classif'"),
+        (lambda raw: raw["datasets"][0].update(task=None),
+         "datasets[0].task must be 'classification' or 'regression' "
+         "(or 'cls', 'c', 'reg', 'r'), got None"),
         (lambda raw: raw["datasets"][0]["synthetic"].update(n_instances="50"),
          "datasets[0].synthetic.n_instances must be an integer >= 1, got '50'"),
         (lambda raw: raw["datasets"][0]["synthetic"].update(noise=None),

@@ -176,13 +176,6 @@ class TestFitForests:
         self._assert_each_forest_is_its_sets_fit(
             _rows(q), LearnerSpec(n_trees=3, bootstrap=bootstrap, seed=4))
 
-    @pytest.mark.parametrize("chunk", [1, 64])
-    @pytest.mark.parametrize("q", [None, 4], ids=["reg", "q4"])
-    def test_candidate_chunks(self, q, chunk, monkeypatch):
-        # each tree draws the candidates of 1 or of 64 nodes at once
-        monkeypatch.setattr(tree_mod, "_CANDIDATE_CHUNK", chunk)
-        self._assert_each_forest_is_its_sets_fit(_rows(q), LearnerSpec(n_trees=3, seed=4))
-
     @staticmethod
     def _assert_each_forest_is_its_sets_fit(rows, spec):
         models = fit_forests(spec, rows, SETS)
@@ -326,16 +319,10 @@ class TestProcesses:
             fit(LearnerSpec(n_trees=6), _rows(None))
 
 
-class TestCandidateDraws:
-    """A tree draws the candidate sets of ``_CANDIDATE_CHUNK`` nodes at
-    once; each set and the stream after it must be those of the
-    reference's per-node ``np.sort(rng.choice(m, k, replace=False))``,
-    whatever the chunk."""
-
-    @pytest.fixture(autouse=True, params=[None, 1, 64], ids=["chunk16", "chunk1", "chunk64"])
-    def chunk(self, request, monkeypatch):
-        if request.param is not None:
-            monkeypatch.setattr(tree_mod, "_CANDIDATE_CHUNK", request.param)
+class TestCandidateSets:
+    """Every node searches the reference's per-node candidate set,
+    ``np.sort(rng.choice(m, k, replace=False))`` from its tree's stream,
+    on the shapes where numpy's draw or a leaf value could go wrong."""
 
     @staticmethod
     def _assert_same_tree(X, y, q, max_features, seed=0, max_depth=None):
@@ -347,31 +334,13 @@ class TestCandidateDraws:
             assert np.array_equal(getattr(tree, name), ref[name]), name
         return ref
 
-    def test_sets_and_stream_match_choice(self):
-        rng = np.random.default_rng(11)
-        for _ in range(120):
-            m = int(rng.integers(2, 400))
-            k = int(rng.integers(1, m))
-            nodes = int(rng.integers(1, 70))
-            g = tree_mod._Growth(np.random.default_rng(m * k), np.arange(m), k)
-            ref = np.random.default_rng(m * k)
-            assert g.chunked
-            for step in range(nodes):
-                if step % tree_mod._CANDIDATE_CHUNK == 0:
-                    tree_mod._draw_candidates([g])
-                assert g.candidates(step).tolist() == \
-                    np.sort(ref.choice(m, size=k, replace=False)).tolist()
-            if nodes % tree_mod._CANDIDATE_CHUNK == 0:   # no draw left over
-                assert g.rng.integers(1 << 40) == ref.integers(1 << 40)
-
     @pytest.mark.parametrize("k", [200, 201])
     def test_either_side_of_numpy_tail_shuffle(self, k):
-        # above 10000 columns numpy's choice shuffles the pool's tail once
-        # k > m // 50 (here 200): k = 201 keeps the per-node draw
+        # above 10000 columns numpy's choice shuffles the pool's tail in
+        # place of Floyd's algorithm once k > m // 50 (here 200)
         rng = np.random.default_rng(5)
         X = np.round(rng.standard_normal((24, 10001)), 1)
         y = X[:, :40].sum(axis=1) + rng.standard_normal(24)
-        assert tree_mod._Growth(None, np.arange(10001), k).chunked == (k == 200)
         ref = self._assert_same_tree(X, y, None, k)
         assert (ref["feature"] >= 0).sum() > 3
 
