@@ -242,6 +242,20 @@ class TestCompiledForest:
             RandomForestModel([_leaf_tree(2.0)], Task.CLASSIFICATION, 1, 2)
 
 
+_STUMP = {"feature": [0, -1, -1], "threshold": [0.5, 0.0, 0.0],
+          "left": [1, -1, -1], "right": [2, -1, -1], "value": [0.0, 1.0, 2.0]}
+_LEAF = {"feature": [-1], "threshold": [0.0], "left": [-1], "right": [-1], "value": [1.0]}
+
+
+def _forest(trees, n_features=1, with_trees=True):
+    """A version-1 regression forest's JSON holding ``trees``."""
+    doc = {"format": "permsel-random-forest", "version": 1, "task": "regression",
+           "n_features": n_features, "class_count": None}
+    if with_trees:
+        doc["trees"] = trees
+    return json.dumps(doc)
+
+
 class TestSerialization:
     def test_round_trip(self, small_classification):
         ds = small_classification
@@ -252,51 +266,53 @@ class TestSerialization:
         assert clone.task is Task.CLASSIFICATION
         assert clone.class_count == 2
 
-    def test_bad_container(self):
-        for text in ('{"format": "something-else"}',
-                     '{"format": "permsel-random-forest", "version": 2}'):
-            with pytest.raises(LearnerError):
-                RandomForestModel.from_json(text)
-        stump = {"feature": [0, -1, -1], "threshold": [0.5, 0.0, 0.0],
-                 "left": [1, -1, -1], "right": [2, -1, -1], "value": [0.0, 1.0, 2.0]}
-        RandomForestModel.from_json(self._forest([stump]))   # well formed
-        leaf = {"feature": [-1], "threshold": [0.0], "left": [-1], "right": [-1],
-                "value": [1.0]}
-        for trees, match in (
-                (None, "trees must be a non-empty list"),
-                ([], "trees must be a non-empty list"),
-                ([leaf, [1]], r"trees\[1\] must hold the lists"),
-                ([{**leaf, "value": None}], r"trees\[0\] must hold the lists"),
-                ([{**leaf, "value": [1.0, 2.0]}], "one nonzero length"),
-                ([{name: [] for name in leaf}], "one nonzero length"),
-                ([{**leaf, "value": ["x"]}], r"trees\[0\] must hold the lists"),
-                ([{**leaf, "left": [[-1]]}], "one nonzero length"),
-                ([{**leaf, "left": -1}], "one nonzero length"),
-                # node 0 is its own child: predict would never leave it
-                ([{"feature": [0], "threshold": [0.5], "left": [0], "right": [0],
-                   "value": [1.0]}], r"trees\[0\] node 0"),
-                ([leaf, {**stump, "left": [5, -1, -1], "right": [6, -1, -1]}],
-                 r"trees\[1\] node 0"),
-                ([{**stump, "right": [1, -1, -1]}], r"trees\[0\] node 0"),
-                ([{**stump, "feature": [3, -1, -1]}], r"trees\[0\] node 0.* below 1 "),
-                ([{**stump, "left": [1, 0, -1]}], r"trees\[0\] node 1"),
-                # the right child one past the last node
-                ([{**stump, "left": [2, -1, -1], "right": [3, -1, -1]}],
-                 r"trees\[0\] node 0.* with 0 < l < 2")):
-            with pytest.raises(LearnerError, match=match):
-                RandomForestModel.from_json(self._forest(trees))
-        with pytest.raises(LearnerError, match="n_features must be an integer >= 1"):
-            RandomForestModel.from_json(self._forest([leaf], n_features=None))
-        no_trees = json.loads(self._forest([leaf]))
-        del no_trees["trees"]
-        with pytest.raises(LearnerError, match="trees must be a non-empty list"):
-            RandomForestModel.from_json(json.dumps(no_trees))
+    def test_well_formed_forest_loads(self):
+        model = RandomForestModel.from_json(_forest([_STUMP]))
+        assert np.array_equal(model.predict(np.array([[0.0], [1.0]])), [1.0, 2.0])
 
-    @staticmethod
-    def _forest(trees, n_features=1):
-        return json.dumps({"format": "permsel-random-forest", "version": 1,
-                           "task": "regression", "n_features": n_features,
-                           "class_count": None, "trees": trees})
+    @pytest.mark.parametrize("text, match", [
+        pytest.param('{"format": "something-else"}', "not a serialized forest",
+                     id="other_format"),
+        pytest.param('{"format": "permsel-random-forest", "version": 2}',
+                     "unsupported version 2", id="version_2"),
+        pytest.param(_forest(None), "trees must be a non-empty list", id="trees_null"),
+        pytest.param(_forest([]), "trees must be a non-empty list", id="trees_empty"),
+        pytest.param(_forest([_LEAF], with_trees=False), "trees must be a non-empty list",
+                     id="no_trees_key"),
+        pytest.param(_forest([_LEAF], n_features=None), "n_features must be an integer >= 1",
+                     id="n_features_null"),
+        pytest.param(_forest([_LEAF, [1]]), r"trees\[1\] must hold the lists",
+                     id="tree_not_dict"),
+        pytest.param(_forest([{**_LEAF, "value": None}]), r"trees\[0\] must hold the lists",
+                     id="value_null"),
+        pytest.param(_forest([{**_LEAF, "value": ["x"]}]), r"trees\[0\] must hold the lists",
+                     id="value_not_number"),
+        pytest.param(_forest([{**_LEAF, "value": [1.0, 2.0]}]), "one nonzero length",
+                     id="lengths_differ"),
+        pytest.param(_forest([{name: [] for name in _LEAF}]), "one nonzero length",
+                     id="no_nodes"),
+        pytest.param(_forest([{**_LEAF, "left": [[-1]]}]), "one nonzero length",
+                     id="left_nested"),
+        pytest.param(_forest([{**_LEAF, "left": -1}]), "one nonzero length",
+                     id="left_not_list"),
+        # node 0 is its own child: predict would never leave it
+        pytest.param(_forest([{"feature": [0], "threshold": [0.5], "left": [0], "right": [0],
+                               "value": [1.0]}]), r"trees\[0\] node 0", id="own_child"),
+        pytest.param(_forest([_LEAF, {**_STUMP, "left": [5, -1, -1], "right": [6, -1, -1]}]),
+                     r"trees\[1\] node 0", id="child_past_end"),
+        pytest.param(_forest([{**_STUMP, "right": [1, -1, -1]}]), r"trees\[0\] node 0",
+                     id="right_not_left_plus_1"),
+        pytest.param(_forest([{**_STUMP, "feature": [3, -1, -1]}]),
+                     r"trees\[0\] node 0.* below 1 ", id="feature_out_of_range"),
+        pytest.param(_forest([{**_STUMP, "left": [1, 0, -1]}]), r"trees\[0\] node 1",
+                     id="child_before_parent"),
+        # the right child one past the last node
+        pytest.param(_forest([{**_STUMP, "left": [2, -1, -1], "right": [3, -1, -1]}]),
+                     r"trees\[0\] node 0.* with 0 < l < 2", id="right_child_past_end"),
+    ])
+    def test_bad_container(self, text, match):
+        with pytest.raises(LearnerError, match=match):
+            RandomForestModel.from_json(text)
 
 
 class TestMaxFeatures:

@@ -334,6 +334,22 @@ class TestCandidateSets:
             assert np.array_equal(getattr(tree, name), ref[name]), name
         return ref
 
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_shapes(self, seed):
+        # rows fewer or more than columns, any k < m, deep or cut trees:
+        # each node's set, and the stream after it, must be the reference's
+        rng = np.random.default_rng(100 + seed)
+        n, m = int(rng.integers(8, 61)), int(rng.integers(2, 400))
+        k = int(rng.integers(1, m))
+        q = [None, 2, 3][seed % 3]
+        X = np.round(rng.standard_normal((n, m)), 1)
+        score = X[:, :3].sum(axis=1) + 0.5 * rng.standard_normal(n)
+        if q is not None:
+            y = np.digitize(score, np.quantile(score, [1 / 3, 2 / 3])[:q - 1])
+        else:
+            y = score
+        self._assert_same_tree(X, y, q, k, seed=seed, max_depth=[None, 3][seed % 2])
+
     @pytest.mark.parametrize("k", [200, 201])
     def test_either_side_of_numpy_tail_shuffle(self, k):
         # above 10000 columns numpy's choice shuffles the pool's tail in
